@@ -18,9 +18,19 @@
 //! content fingerprints of `telechat_litmus::fingerprint` plus the model
 //! identity and the budget-relevant [`SimConfig`] fields. Values are
 //! `Arc`-shared; a per-key in-flight gate guarantees each distinct key is
-//! computed **exactly once** even when many campaign workers race for it
-//! (latecomers block on the gate and count as hits), which is what makes
-//! [`CacheStats`] deterministic across worker counts.
+//! computed **exactly once** even when many campaign workers race for it,
+//! which is what makes [`CacheStats`] deterministic across worker counts.
+//!
+//! Every lookup is a non-blocking *claim* with three answers: the entry is
+//! ready (a hit), this caller computes it (a miss), or another claimant has
+//! it in flight. On the last answer a caller has two choices. The public
+//! blocking lookups ([`SimCache::prepared`], [`SimCache::source_leg`],
+//! [`SimCache::target_leg`]) *wait* on the entry's gate inside a
+//! `gate-wait` span, then claim again and count the hit. Campaign workers
+//! instead *park* the work item on the gate and pull other work. The gate
+//! hands every parked item back exactly once, when it publishes or when its
+//! computer panics, and the item's next claim counts the hit. Either way
+//! each distinct key is one miss and every other claim one hit.
 //!
 //! Model identity is the model *name*: the pipeline only ever loads bundled
 //! models (through the process-wide `telechat_cat::ModelRegistry`), whose
@@ -61,29 +71,118 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// workers touching different tests almost never serialise on a lock.
 const SHARDS: usize = 16;
 
-/// One entry slot: either the finished value, or a gate latecomers wait on
-/// while the first requester computes.
+/// One entry slot: either the finished value, or the gate of the
+/// computation in flight.
 enum Slot<V> {
     Ready(V),
-    Pending(Arc<Gate<V>>),
+    Pending(Arc<Gate>),
 }
 
-/// What a waiter sees through the gate.
-enum GateState<V> {
-    /// The computation is still running.
-    Waiting,
-    /// The value was published.
-    Done(V),
-    /// The computing worker panicked: the slot was removed; waiters retry
-    /// (and the panic itself resumes on the computing worker).
-    Poisoned,
+/// A parked item's way back to whoever parked it: a callback run exactly
+/// once — when the gate it is parked on publishes or poisons, or at once
+/// when parked on a gate that already resolved. Dropping a waker runs it
+/// (that *is* the hand-back), so a waker lost to an unwinding panic still
+/// returns its item instead of stranding it.
+pub(crate) struct Waker(Option<Box<dyn FnOnce() + Send>>);
+
+impl Waker {
+    /// A waker running `hand_back` once.
+    pub(crate) fn new(hand_back: impl FnOnce() + Send + 'static) -> Waker {
+        Waker(Some(Box::new(hand_back)))
+    }
 }
 
-/// The in-flight gate: the computing worker publishes the value (or the
-/// poison marker on panic) and wakes every waiter.
-struct Gate<V> {
-    state: Mutex<GateState<V>>,
-    ready: Condvar,
+impl Drop for Waker {
+    fn drop(&mut self) {
+        if let Some(hand_back) = self.0.take() {
+            hand_back();
+        }
+    }
+}
+
+/// The in-flight gate of one cache entry. Callers that cannot make
+/// progress without the value either **park** a [`Waker`] on it (campaign
+/// workers — the worker moves on to other work) or **wait** on it
+/// (blocking callers — a `gate-wait` span shows where). The gate resolves
+/// once, when its computation publishes or panics; either way every waiter
+/// wakes and every parked waker is handed back, exactly once, and all of
+/// them claim the entry again: a published entry is then a hit, and a
+/// poisoned one (its slot removed) makes the first of them the new
+/// computer.
+pub(crate) struct Gate {
+    /// The wakers parked on the gate; `None` once it resolved.
+    parked: Mutex<Option<Vec<Waker>>>,
+    resolved: Condvar,
+}
+
+impl Gate {
+    fn new() -> Gate {
+        Gate {
+            parked: Mutex::new(Some(Vec::new())),
+            resolved: Condvar::new(),
+        }
+    }
+
+    /// Parks `waker` until the gate resolves; on a gate that already
+    /// resolved it is handed back at once.
+    pub(crate) fn park(&self, waker: Waker) {
+        let mut parked = lock_unpoisoned(&self.parked);
+        if let Some(parked) = parked.as_mut() {
+            parked.push(waker);
+            return;
+        }
+        // Hand back outside the gate lock.
+        drop(parked);
+        drop(waker);
+    }
+
+    /// Blocks the calling thread until the gate resolves; the caller then
+    /// claims again.
+    fn wait(&self) {
+        telechat_obs::add(telechat_obs::Counter::CacheGateWaits, 1);
+        let _span = telechat_obs::span("gate-wait");
+        let mut parked = lock_unpoisoned(&self.parked);
+        while parked.is_some() {
+            parked = self.resolved.wait(parked).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Resolves the gate: wakes every waiter, then hands back every parked
+    /// waker outside the gate lock.
+    fn resolve(&self) {
+        let parked = lock_unpoisoned(&self.parked).take();
+        self.resolved.notify_all();
+        drop(parked);
+    }
+}
+
+/// The computing claimant's obligation to resolve its gate: publishing
+/// consumes it, and dropping it unpublished — the compute panicked —
+/// removes the slot and poisons the gate, so a crash stays a crash instead
+/// of becoming a deadlock or a stranded parked item.
+struct Lease<'a, K: Hash + Eq + Clone, V: Clone> {
+    shard: &'a Mutex<HashMap<K, Slot<V>>>,
+    key: K,
+    gate: Arc<Gate>,
+    published: bool,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Lease<'_, K, V> {
+    fn publish(mut self, v: V) -> V {
+        lock_unpoisoned(self.shard).insert(self.key.clone(), Slot::Ready(v.clone()));
+        self.gate.resolve();
+        self.published = true;
+        v
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Drop for Lease<'_, K, V> {
+    fn drop(&mut self) {
+        if !self.published {
+            lock_unpoisoned(self.shard).remove(&self.key);
+            self.gate.resolve();
+        }
+    }
 }
 
 /// A sharded lock-striped map with exactly-once in-flight computation.
@@ -104,71 +203,74 @@ impl<K: Hash + Eq + Clone, V: Clone> Striped<K, V> {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Returns the cached value for `key`, computing it with `compute` on
-    /// first request. The boolean is `true` on a hit (including waiting on
-    /// another worker's in-flight computation — the work was shared either
-    /// way). `compute` runs outside the shard lock, so unrelated keys never
-    /// serialise behind a long simulation.
+    /// The non-blocking claim. There are three answers:
     ///
-    /// Panic-safe: if `compute` panics, the pending slot is removed and
-    /// waiters are woken to retry (one of them becomes the new computer)
-    /// while the panic propagates on the computing worker — a crash stays
-    /// a crash instead of becoming a deadlock.
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
+    /// * **ready** — a finished entry: `Ok((value, true))`, a hit;
+    /// * **you compute** — no entry yet: this caller runs `compute`
+    ///   (outside the shard lock, so unrelated keys never serialise behind
+    ///   a long simulation) and publishes it: `Ok((value, false))`, a miss;
+    /// * **in flight** — another claimant is computing it: `Err(gate)`, to
+    ///   park on or wait for. `compute` is not run.
+    ///
+    /// `park`, when given, is parked on the entry's gate in the last two
+    /// cases — before `compute` runs in the second, so it comes back when
+    /// this very computation publishes (or poisons) — and handed back at
+    /// once on a ready entry.
+    fn claim(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> V,
+        park: Option<Waker>,
+    ) -> std::result::Result<(V, bool), Arc<Gate>> {
         let shard = self.shard(&key);
+        let mut map = lock_unpoisoned(shard);
+        let gate = match map.get(&key) {
+            Some(Slot::Ready(v)) => {
+                let v = v.clone();
+                drop(map);
+                drop(park);
+                return Ok((v, true));
+            }
+            Some(Slot::Pending(gate)) => {
+                let gate = gate.clone();
+                drop(map);
+                if let Some(waker) = park {
+                    gate.park(waker);
+                }
+                return Err(gate);
+            }
+            None => Arc::new(Gate::new()),
+        };
+        if let Some(waker) = park {
+            gate.park(waker);
+        }
+        map.insert(key.clone(), Slot::Pending(gate.clone()));
+        drop(map);
+        let lease = Lease {
+            shard,
+            key,
+            gate,
+            published: false,
+        };
+        Ok((lease.publish(compute()), false))
+    }
+
+    /// The blocking lookup: claim, and while another claimant has the key
+    /// in flight, wait on its gate and claim again. The boolean is `true`
+    /// on a hit (including one served after waiting — the work was shared
+    /// either way). If the computer panics, its waiters wake and claim
+    /// again, and one of them becomes the new computer.
+    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
         let mut compute = Some(compute);
         loop {
-            let gate = {
-                let mut map = lock_unpoisoned(shard);
-                match map.get(&key) {
-                    Some(Slot::Ready(v)) => return (v.clone(), true),
-                    Some(Slot::Pending(gate)) => {
-                        telechat_obs::add(telechat_obs::Counter::CacheGateWaits, 1);
-                        gate.clone()
-                    }
-                    None => {
-                        let gate = Arc::new(Gate {
-                            state: Mutex::new(GateState::Waiting),
-                            ready: Condvar::new(),
-                        });
-                        map.insert(key.clone(), Slot::Pending(gate.clone()));
-                        drop(map);
-                        let compute = compute.take().expect("compute consumed once");
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
-                        let mut map = lock_unpoisoned(shard);
-                        match outcome {
-                            Ok(v) => {
-                                map.insert(key, Slot::Ready(v.clone()));
-                                drop(map);
-                                *lock_unpoisoned(&gate.state) = GateState::Done(v.clone());
-                                gate.ready.notify_all();
-                                return (v, false);
-                            }
-                            Err(panic) => {
-                                map.remove(&key);
-                                drop(map);
-                                *lock_unpoisoned(&gate.state) = GateState::Poisoned;
-                                gate.ready.notify_all();
-                                std::panic::resume_unwind(panic);
-                            }
-                        }
-                    }
-                }
-            };
-            let mut state = lock_unpoisoned(&gate.state);
-            loop {
-                match &*state {
-                    GateState::Waiting => {
-                        state = gate.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
-                    GateState::Done(v) => return (v.clone(), true),
-                    // The computer died; go around and try to become the
-                    // new one (possible only if this call still owns an
-                    // unconsumed `compute` — it always does, since only
-                    // the computing branch consumes it).
-                    GateState::Poisoned => break,
-                }
+            let claimed = self.claim(
+                key.clone(),
+                || (compute.take().expect("computed at most once"))(),
+                None,
+            );
+            match claimed {
+                Ok(v) => return v,
+                Err(gate) => gate.wait(),
             }
         }
     }
@@ -221,6 +323,17 @@ pub struct SourceLeg {
     /// [`SourceObservables`]).
     pub observables: SourceObservables,
 }
+
+impl SourceLeg {
+    /// A source simulation result with its comparison half.
+    pub(crate) fn of(result: SimResult) -> SourceLeg {
+        SourceLeg {
+            observables: SourceObservables::of(&result.outcomes),
+            result: Arc::new(result),
+        }
+    }
+}
+
 
 /// Counters of one campaign's cache traffic. A **miss** is a computation
 /// actually performed; a **hit** is a computation avoided (served from a
@@ -431,6 +544,19 @@ impl SimCache {
         v
     }
 
+    fn source_key(
+        &self,
+        prepared: &PreparedSource,
+        model: &CatModel,
+        config: &SimConfig,
+    ) -> LegKey {
+        LegKey {
+            test: prepared.test_fingerprint(),
+            model: model_fingerprint(model),
+            config: sim_config_fingerprint(config),
+        }
+    }
+
     /// The source leg: `herd(prepared, model)` plus the profile-invariant
     /// comparison half, once per distinct (prepared test, model, budget).
     ///
@@ -445,40 +571,66 @@ impl SimCache {
         model: &CatModel,
         config: &SimConfig,
     ) -> Result<SourceLeg> {
-        let key = LegKey {
-            test: prepared.test_fingerprint(),
-            model: model_fingerprint(model),
-            config: sim_config_fingerprint(config),
-        };
+        let key = self.source_key(prepared, model, config);
         let (v, hit) = self.source.get_or_compute(key.clone(), || {
-            let store = self.store_key(LegKind::Source, key.test, model, key.config);
-            if let Some((store, pkey)) = &store {
-                if let Some(stored) = store.get(pkey) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return stored.map(|sim| {
-                        let result = Arc::new(sim.into_result());
-                        SourceLeg {
-                            observables: SourceObservables::of(&result.outcomes),
-                            result,
-                        }
-                    });
-                }
-            }
-            fault::fire(FaultLeg::Source, &prepared.test.name);
-            let computed = simulate(&prepared.test, model, config);
-            if let Some((store, pkey)) = store {
-                self.persist(&store, pkey, &computed);
-            }
-            computed.map(|result| {
-                let result = Arc::new(result);
-                SourceLeg {
-                    observables: SourceObservables::of(&result.outcomes),
-                    result,
-                }
-            })
+            self.compute_source(&key, prepared, model, config)
         });
         self.count(&self.source_hits, &self.source_misses, hit);
         v
+    }
+
+    /// The campaign warm-up: claims the source leg without blocking and
+    /// parks `waker` on it. The waker comes back once the leg is ready —
+    /// at once on a finished entry, after this call's own computation, or
+    /// when another claimant's in-flight computation publishes. The claim
+    /// counts as one hit or miss either way: a warm-up never claims again.
+    pub(crate) fn park_on_source_leg(
+        &self,
+        prepared: &PreparedSource,
+        model: &CatModel,
+        config: &SimConfig,
+        waker: Waker,
+    ) {
+        let key = self.source_key(prepared, model, config);
+        let hit = self
+            .source
+            .claim(
+                key.clone(),
+                || self.compute_source(&key, prepared, model, config),
+                Some(waker),
+            )
+            .map_or(true, |(_, hit)| hit);
+        self.count(&self.source_hits, &self.source_misses, hit);
+    }
+
+    fn compute_source(
+        &self,
+        key: &LegKey,
+        prepared: &PreparedSource,
+        model: &CatModel,
+        config: &SimConfig,
+    ) -> Result<SourceLeg> {
+        let store = self.store_key(LegKind::Source, key.test, model, key.config);
+        if let Some((store, pkey)) = &store {
+            if let Some(stored) = store.get(pkey) {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return stored.map(|sim| SourceLeg::of(sim.into_result()));
+            }
+        }
+        fault::fire(FaultLeg::Source, &prepared.test.name);
+        let computed = simulate(&prepared.test, model, config);
+        if let Some((store, pkey)) = store {
+            self.persist(&store, pkey, &computed);
+        }
+        computed.map(SourceLeg::of)
+    }
+
+    fn target_key(&self, target: &LitmusTest, model: &CatModel, config: &SimConfig) -> LegKey {
+        LegKey {
+            test: target.fingerprint(),
+            model: model_fingerprint(model),
+            config: sim_config_fingerprint(config),
+        }
     }
 
     /// The target leg: `herd(extracted, model)`, once per distinct
@@ -495,28 +647,55 @@ impl SimCache {
         model: &CatModel,
         config: &SimConfig,
     ) -> Result<Arc<SimResult>> {
-        let key = LegKey {
-            test: target.fingerprint(),
-            model: model_fingerprint(model),
-            config: sim_config_fingerprint(config),
-        };
+        let key = self.target_key(target, model, config);
         let (v, hit) = self.target.get_or_compute(key.clone(), || {
-            let store = self.store_key(LegKind::Target, key.test, model, key.config);
-            if let Some((store, pkey)) = &store {
-                if let Some(stored) = store.get(pkey) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return stored.map(|sim| Arc::new(sim.into_result()));
-                }
-            }
-            fault::fire(FaultLeg::Target, &target.name);
-            let computed = simulate(target, model, config);
-            if let Some((store, pkey)) = store {
-                self.persist(&store, pkey, &computed);
-            }
-            computed.map(Arc::new)
+            self.compute_target(&key, target, model, config)
         });
         self.count(&self.target_hits, &self.target_misses, hit);
         v
+    }
+
+    /// [`SimCache::target_leg`] without blocking: the leg when it is ready
+    /// or this call computed it, or `Err(gate)` while another claimant
+    /// computes it. An in-flight answer counts nothing — the caller parks
+    /// on the gate and claims again once it is handed back, and that claim
+    /// counts the hit.
+    pub(crate) fn try_target_leg(
+        &self,
+        target: &LitmusTest,
+        model: &CatModel,
+        config: &SimConfig,
+    ) -> std::result::Result<Result<Arc<SimResult>>, Arc<Gate>> {
+        let key = self.target_key(target, model, config);
+        let (v, hit) = self.target.claim(
+            key.clone(),
+            || self.compute_target(&key, target, model, config),
+            None,
+        )?;
+        self.count(&self.target_hits, &self.target_misses, hit);
+        Ok(v)
+    }
+
+    fn compute_target(
+        &self,
+        key: &LegKey,
+        target: &LitmusTest,
+        model: &CatModel,
+        config: &SimConfig,
+    ) -> Result<Arc<SimResult>> {
+        let store = self.store_key(LegKind::Target, key.test, model, key.config);
+        if let Some((store, pkey)) = &store {
+            if let Some(stored) = store.get(pkey) {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return stored.map(|sim| Arc::new(sim.into_result()));
+            }
+        }
+        fault::fire(FaultLeg::Target, &target.name);
+        let computed = simulate(target, model, config);
+        if let Some((store, pkey)) = store {
+            self.persist(&store, pkey, &computed);
+        }
+        computed.map(Arc::new)
     }
 }
 
@@ -609,6 +788,78 @@ exists (P0:r0=0 /\ P1:r0=0)
         assert!(computer.join().is_err(), "the panic still propagated");
         // The slot now holds the retry's value.
         assert_eq!(map.get_or_compute(1, || 99), (11, true));
+    }
+
+    /// A waker that counts its hand-backs.
+    fn counting_waker(handed_back: &Arc<AtomicUsize>) -> Waker {
+        let handed_back = handed_back.clone();
+        Waker::new(move || {
+            handed_back.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    #[test]
+    fn claim_parks_on_an_in_flight_key_until_it_publishes() {
+        let map: Striped<u64, u64> = Striped::new();
+        let handed_back = Arc::new(AtomicUsize::new(0));
+        // A claim made while the key computes finds it in flight (the
+        // compute closure itself is "another worker" here, so the
+        // interleaving is fixed) and parks without running its compute.
+        let claimed = map.claim(
+            5,
+            || {
+                let gate = map
+                    .claim(5, || unreachable!("in flight"), None)
+                    .unwrap_err();
+                gate.park(counting_waker(&handed_back));
+                assert_eq!(handed_back.load(Ordering::SeqCst), 0, "still parked");
+                50
+            },
+            None,
+        );
+        assert_eq!(claimed.ok(), Some((50, false)));
+        assert_eq!(handed_back.load(Ordering::SeqCst), 1, "publish hands back");
+        // A ready key is a hit, and a waker offered with it comes back at once.
+        let claimed = map.claim(5, || unreachable!("ready"), Some(counting_waker(&handed_back)));
+        assert_eq!(claimed.ok(), Some((50, true)));
+        assert_eq!(handed_back.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_waker_parked_by_the_computing_claim_returns_exactly_once() {
+        let map: Striped<u64, u64> = Striped::new();
+        let handed_back = Arc::new(AtomicUsize::new(0));
+        let claimed = map.claim(
+            8,
+            || {
+                assert_eq!(handed_back.load(Ordering::SeqCst), 0, "parked while computing");
+                80
+            },
+            Some(counting_waker(&handed_back)),
+        );
+        assert_eq!(claimed.ok(), Some((80, false)));
+        assert_eq!(handed_back.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_poisoned_gate_hands_back_its_parked_wakers_and_frees_the_key() {
+        let map: Striped<u64, u64> = Striped::new();
+        let handed_back = Arc::new(AtomicUsize::new(0));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map.claim(
+                3,
+                || {
+                    let gate = map.claim(3, || unreachable!("in flight"), None).unwrap_err();
+                    gate.park(counting_waker(&handed_back));
+                    panic!("compute died")
+                },
+                Some(counting_waker(&handed_back)),
+            )
+        }));
+        assert!(died.is_err(), "the panic propagates to the computer");
+        assert_eq!(handed_back.load(Ordering::SeqCst), 2, "both parked wakers came back");
+        // The poisoned slot is gone: the next claimant computes.
+        assert_eq!(map.claim(3, || 33, None).ok(), Some((33, false)));
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //! iterators) and generative fuzz streams (`telechat-fuzz`), so a campaign
 //! can consume an unbounded generator without materialising it first.
 
-use crate::cache::{lock_unpoisoned, CacheStats, SimCache};
+use crate::cache::{lock_unpoisoned, CacheStats, Gate, SimCache, Waker};
 use crate::fault::{self, RetryPolicy};
 use crate::journal::{CampaignJournal, ItemKey, ItemOutcome, ItemRecord, JournalStats, ShardSpec};
 use crate::persist::PersistStore;
-use crate::pipeline::{PipelineConfig, Telechat, TestReport, TestVerdict};
-use std::collections::BTreeMap;
+use crate::pipeline::{Continuation, PipelineConfig, Telechat, TestReport, TestVerdict};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-use telechat_common::{fnv1a64, Arch, Error, Result};
+use std::time::{Duration, Instant};
+use telechat_common::{Arch, Error, Result};
 use telechat_compiler::{Compiler, CompilerFamily, CompilerId, OptLevel, Target};
 use telechat_litmus::LitmusTest;
 
@@ -420,19 +421,32 @@ pub fn run_campaign(
 ///
 /// **Hit-aware scheduling.** With the sharing layer on (`spec.cache`), a
 /// pulled test fans out *source-leg-first*: one **lead** item (the first
-/// profile) enters the frontier immediately and its worker warms the
-/// test's prepare + source-leg cache entries, while other workers pull
-/// *other tests'* leads — so with `N` workers, `N` distinct source legs
-/// simulate concurrently instead of `N` workers racing (or blocking) on
-/// one. As soon as the warm-up completes — before the lead's own
-/// compile/extract/target work — the **follower** items (the remaining
-/// profiles, now pure source-cache hits) are released at the *front* of
-/// the frontier so they run while the entry is hot, their compiles in
-/// parallel with the lead's. Workers that find the source dry while leads
-/// are still warming *wait* for the follower release instead of exiting,
-/// so the tail of a campaign — and a few-tests × many-profiles sweep —
-/// stays parallel. Without the cache, every profile is queued immediately
-/// (the sharing-free behaviour).
+/// profile) enters the frontier immediately, and its worker warms the
+/// test's prepare + source-leg cache entries with the **follower** items
+/// (the remaining profiles) parked on the source leg's gate. Meanwhile
+/// other workers pull *other tests'* leads, so with `N` workers, `N`
+/// distinct source legs simulate concurrently instead of `N` workers racing
+/// on one. The gate hands the followers back to the *front* of the
+/// frontier as soon as the leg is ready — before the lead's own
+/// compile/extract/target work — so they run while the entry is hot, their
+/// compiles in parallel with the lead's. Without the cache, every profile
+/// is queued immediately (the sharing-free behaviour).
+///
+/// **Parking, not blocking.** Profiles that extract identical code share
+/// one target leg, so a worker often needs a leg another worker is
+/// simulating right now. It does not wait: the item, already through the
+/// first half of the pipeline, parks on the leg's gate and the worker pulls
+/// other work. When the gate publishes (or its computer panics) the item
+/// goes back to the front of the frontier of the worker that parked it,
+/// which resumes it with the target leg before anything else; other
+/// workers take it over only once the source is dry. Gates hand back
+/// followers and parked items alike, and one count of outstanding
+/// hand-backs tells an idle worker whether to wait or exit: workers that
+/// find the source dry wait while items are parked, so the tail of a
+/// campaign — and a few-tests × many-profiles sweep — stays parallel. With
+/// a [`telechat_exec::SimConfig::deadline`], a parked item waits at most
+/// that long for its leg, then fails as [`Error::Deadline`] — a leg whose
+/// computation was abandoned by the watchdog never strands its waiters.
 ///
 /// The result is byte-identical for every worker count and for cache
 /// on/off: tests are pulled from the source in a fixed order, cells
@@ -519,46 +533,6 @@ pub fn run_campaign_source(
         return Ok(empty);
     }
 
-    /// One frontier entry: a test, the profile index to run, and — for a
-    /// lead item — the follower profile indices to release on completion.
-    type Item = (std::sync::Arc<LitmusTest>, usize, Vec<usize>);
-
-    /// The shared frontier: queued (test, profile) items, refilled from
-    /// the source one test at a time when it runs dry, plus the count of
-    /// lead items whose followers have not been released yet — while that
-    /// is non-zero an empty frontier does **not** mean the campaign is
-    /// done, so idle workers wait (on `idle`) instead of exiting.
-    struct Frontier<'a> {
-        source: &'a mut dyn TestSource,
-        queue: std::collections::VecDeque<Item>,
-        outstanding_leads: usize,
-    }
-
-    /// Releases a lead's followers when dropped, so they are published
-    /// (and waiting workers woken) even if the lead's pipeline run panics
-    /// — otherwise idle workers would wait forever on a decrement that
-    /// never comes and the panic would become a hang.
-    struct FollowerRelease<'a, 'b> {
-        frontier: &'a Mutex<Frontier<'b>>,
-        idle: &'a Condvar,
-        test: std::sync::Arc<LitmusTest>,
-        followers: Vec<usize>,
-    }
-
-    impl Drop for FollowerRelease<'_, '_> {
-        fn drop(&mut self) {
-            let mut fr = lock_unpoisoned(self.frontier);
-            // Cache-hot: ahead of queued leads (front of the deque, in the
-            // original profile order).
-            for p in self.followers.drain(..).rev() {
-                fr.queue.push_front((self.test.clone(), p, Vec::new()));
-            }
-            fr.outstanding_leads -= 1;
-            drop(fr);
-            self.idle.notify_all();
-        }
-    }
-
     let result = Mutex::new(CampaignResult::default());
     // Coverage: distinct source-outcome-set fingerprints seen across the
     // campaign (the precursor to observation-equivalence dedup). A set of
@@ -566,12 +540,19 @@ pub fn run_campaign_source(
     // list — byte-identical across thread counts, cache and store.
     let outcome_sets: Mutex<std::collections::BTreeSet<u64>> =
         Mutex::new(std::collections::BTreeSet::new());
-    let frontier: Mutex<Frontier> = Mutex::new(Frontier {
-        source,
-        queue: std::collections::VecDeque::new(),
-        outstanding_leads: 0,
+    // The source is only ever pulled with the frontier lock held.
+    let source = Mutex::new(source);
+    let workers = spec.threads.max(1);
+    let next_worker = AtomicUsize::new(0);
+    let frontier = Arc::new(Frontier {
+        queue: Mutex::new(Queue {
+            items: VecDeque::new(),
+            resumes: (0..workers).map(|_| VecDeque::new()).collect(),
+            outstanding: 0,
+            expiries: Vec::new(),
+        }),
+        idle: Condvar::new(),
     });
-    let idle = Condvar::new();
 
     // The root span of the trace; workers re-parent themselves under it so
     // every work item nests below "campaign" whichever thread ran it.
@@ -579,17 +560,23 @@ pub fn run_campaign_source(
     let root_ref = telechat_obs::current();
 
     std::thread::scope(|scope| {
-        for _ in 0..spec.threads.max(1) {
+        for _ in 0..workers {
             scope.spawn(|| {
+                let me = next_worker.fetch_add(1, Ordering::Relaxed);
                 let _trace = telechat_obs::adopt(root_ref);
                 loop {
-                    let item = {
-                        let mut fr = lock_unpoisoned(&frontier);
+                    let work = {
+                        let mut q = lock_unpoisoned(&frontier.queue);
                         loop {
-                            if let Some(item) = fr.queue.pop_front() {
-                                break Some(item);
+                            // This worker's own resumes first, then the
+                            // shared queue, then a new test.
+                            if let Some(work) =
+                                q.resumes[me].pop_front().or_else(|| q.items.pop_front())
+                            {
+                                break Some(work);
                             }
-                            match fr.source.next_test() {
+                            let next = lock_unpoisoned(&source).next_test();
+                            match next {
                                 Some(test) => {
                                     telechat_obs::add(telechat_obs::Counter::CampaignTests, 1);
                                     // Which profiles still need computing:
@@ -638,83 +625,161 @@ pub fn run_campaign_source(
                                             );
                                         }
                                     }
-                                    let test = std::sync::Arc::new(test);
+                                    let test = Arc::new(test);
                                     if cache.is_some() && pending.len() > 1 {
-                                        // Source-leg-first: queue the lead,
-                                        // defer the followers until the lead
-                                        // has populated the shared entries.
-                                        fr.outstanding_leads += 1;
-                                        let lead = pending[0];
+                                        // Source-leg-first: queue the lead;
+                                        // its warm-up parks the followers on
+                                        // the test's source-leg gate.
                                         let followers = pending.split_off(1);
-                                        fr.queue.push_back((test, lead, followers));
+                                        q.items.push_back(Work::start(test, pending[0], followers));
                                     } else {
                                         for p in pending {
-                                            fr.queue.push_back((test.clone(), p, Vec::new()));
+                                            q.items.push_back(Work::start(
+                                                test.clone(),
+                                                p,
+                                                Vec::new(),
+                                            ));
                                         }
                                     }
                                 }
-                                // Source dry: finished only once every lead's
-                                // followers have been released; otherwise wait
-                                // for a release to refill the queue.
-                                None if fr.outstanding_leads == 0 => break None,
+                                // Source dry: take over another worker's
+                                // resumes rather than idle. Finished only once
+                                // every parked item has been handed back;
+                                // until then wait for a hand-back (or a
+                                // parked item's deadline) to refill a queue.
+                                None if q.resumes.iter().any(|r| !r.is_empty()) => {
+                                    break q.resumes.iter_mut().find_map(|r| r.pop_front());
+                                }
+                                None if q.outstanding == 0 => break None,
                                 None => {
-                                    fr = idle.wait(fr).unwrap_or_else(|e| e.into_inner());
+                                    q = match q.expiries.iter().map(|(at, _)| *at).min() {
+                                        Some(at) => {
+                                            let timeout =
+                                                at.saturating_duration_since(Instant::now());
+                                            frontier
+                                                .idle
+                                                .wait_timeout(q, timeout)
+                                                .unwrap_or_else(|e| e.into_inner())
+                                                .0
+                                        }
+                                        None => {
+                                            frontier.idle.wait(q).unwrap_or_else(|e| e.into_inner())
+                                        }
+                                    };
+                                    q.expire(Instant::now());
                                 }
                             }
                         }
                     };
-                    let Some((test, p, followers)) = item else {
+                    let Some(Work {
+                        home: _,
+                        test,
+                        profile: p,
+                        mut attempts,
+                        parks,
+                        span,
+                        mut stage,
+                    }) = work
+                    else {
                         return;
                     };
-                    telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
-                    let _span = telechat_obs::span_with("work-item", || {
-                        format!("{}:{}", test.name, profiles[p].profile_name())
+                    // A fresh item opens its `work-item` span; a resumed one
+                    // re-enters the span it parked under.
+                    let fresh = matches!(stage, Stage::Start(_));
+                    let _item_span = fresh.then(|| {
+                        telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
+                        telechat_obs::span_with("work-item", || {
+                            format!("{}:{}", test.name, profiles[p].profile_name())
+                        })
                     });
-                    if !followers.is_empty() {
-                        let release = FollowerRelease {
-                            frontier: &frontier,
-                            idle: &idle,
-                            test: test.clone(),
-                            followers,
-                        };
-                        // Populate the shared prepare + source-leg entries,
-                        // then release the followers *before* this worker's
-                        // own profile-specific compile/extract/target work —
-                        // followers hit the source cache immediately and run
-                        // their compiles in parallel with the lead's. A
-                        // simulation error is cached too and replays
-                        // identically for every item, so it is ignored here.
-                        // Panics are contained (the gate poisons, the retry
-                        // happens in the item run below) — a warm-up must
-                        // never take down the worker.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            tool.simulate_source(&test)
-                        }));
-                        drop(release);
+                    let _resumed = telechat_obs::adopt(if fresh { None } else { span });
+                    let span = if fresh { telechat_obs::current() } else { span };
+                    if let Stage::Start(followers) = &mut stage {
+                        if !followers.is_empty() {
+                            // Park the followers on the test's source-leg
+                            // gate while this worker populates the shared
+                            // prepare + source-leg entries: they come back
+                            // at the front of the frontier, cache-hot, as
+                            // soon as the leg is ready — before this lead's
+                            // own compile/extract/target work, so their
+                            // compiles overlap the lead's. A simulation
+                            // error is cached too and replays identically
+                            // for every item, so it is ignored here. Panics
+                            // are contained: the gate poisons and hands the
+                            // followers back, and the retry happens in the
+                            // item run below.
+                            let followers = followers
+                                .drain(..)
+                                .map(|f| Work::start(test.clone(), f, Vec::new()))
+                                .collect();
+                            let waker = frontier.park(followers, None);
+                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                tool.warm_source(&test, waker)
+                            }));
+                        }
                     }
                     let compiler = &profiles[p];
                     let key = (compiler.target.arch, compiler.id.family, compiler.opt);
-                    let mut outcome = run_isolated(&tool, &test, compiler, deadline);
-                    // Supervised retries, only when the failure provably came
-                    // from an injected *transient* fault: production failures
-                    // stay deterministic (a flaky-looking leg is a bug, not
-                    // noise). An item still faulting with a transient marker
-                    // once the policy's attempts are exhausted escalates to
-                    // the typed permanent failure — a counted error cell,
-                    // never an unbounded retry loop.
-                    let mut attempts = 1u32;
-                    while outcome.as_ref().is_err_and(Error::is_fault)
-                        && fault::take_transient(&test.name)
-                    {
+                    let outcome = loop {
+                        let step = match stage {
+                            Stage::Start(_) => {
+                                run_isolated(&tool, &test, compiler, None, parks, deadline)
+                            }
+                            Stage::Resume(c) => {
+                                run_isolated(&tool, &test, compiler, Some(c), parks, deadline)
+                            }
+                            Stage::Expired => {
+                                Step::Done(Err(deadline_error(deadline.unwrap_or_default())))
+                            }
+                        };
+                        let outcome = match step {
+                            Step::Done(outcome) => outcome,
+                            Step::Parked(gate, c) => {
+                                // The target leg is in flight on another
+                                // worker: park the continuation on its gate
+                                // and pull other work. It comes back to the
+                                // front of this worker's frontier when the
+                                // gate publishes or poisons — or, with a
+                                // deadline, fails once parked past it.
+                                telechat_obs::add(telechat_obs::Counter::CampaignParked, 1);
+                                let work = Work {
+                                    home: Some(me),
+                                    test: test.clone(),
+                                    profile: p,
+                                    attempts,
+                                    parks: parks + 1,
+                                    span,
+                                    stage: Stage::Resume(Box::new(c)),
+                                };
+                                let expires = deadline.map(|limit| Instant::now() + limit);
+                                gate.park(frontier.park(vec![work], expires));
+                                break None;
+                            }
+                        };
+                        // Supervised retries, only when the failure provably
+                        // came from an injected *transient* fault: production
+                        // failures stay deterministic (a flaky-looking leg is
+                        // a bug, not noise). An item still faulting with a
+                        // transient marker once the policy's attempts are
+                        // exhausted escalates to the typed permanent failure
+                        // — a counted error cell, never an unbounded retry
+                        // loop.
+                        if !(outcome.as_ref().is_err_and(Error::is_fault)
+                            && fault::take_transient(&test.name))
+                        {
+                            break Some(outcome);
+                        }
                         if attempts >= spec.retry.max_attempts {
-                            outcome = Err(Error::RetriesExhausted { attempts });
-                            break;
+                            break Some(Err(Error::RetriesExhausted { attempts }));
                         }
                         telechat_obs::add(telechat_obs::Counter::CampaignRetries, 1);
                         spec.retry.pause(attempts);
-                        outcome = run_isolated(&tool, &test, compiler, deadline);
                         attempts += 1;
-                    }
+                        stage = Stage::Start(Vec::new());
+                    };
+                    let Some(outcome) = outcome else {
+                        continue;
+                    };
                     match &outcome {
                         Err(Error::Deadline { .. }) => {
                             telechat_obs::add(telechat_obs::Counter::CampaignDeadlineKills, 1);
@@ -730,7 +795,7 @@ pub fn run_campaign_source(
                     // a resumed campaign recomputes them and a transient
                     // infrastructure fault heals instead of replaying.
                     let binned = match &outcome {
-                        Ok(report) => match report.verdict {
+                        Ok((report, _)) => match report.verdict {
                             TestVerdict::Pass => ItemOutcome::Pass,
                             TestVerdict::NegativeDifference => ItemOutcome::Negative,
                             TestVerdict::PositiveDifference => ItemOutcome::Positive {
@@ -743,20 +808,15 @@ pub fn run_campaign_source(
                         Err(_) => ItemOutcome::Error,
                     };
                     let durable = !outcome.as_ref().is_err_and(Error::is_fault);
-                    {
-                        let mut res = lock_unpoisoned(&result);
-                        if spec.metrics {
-                            if let Ok(report) = &outcome {
-                                let mut h = 0u64;
-                                h = fnv1a64(h, report.source_outcomes.to_string().as_bytes());
-                                lock_unpoisoned(&outcome_sets).insert(h);
-                            }
+                    if spec.metrics {
+                        if let Ok((_, source_fingerprint)) = &outcome {
+                            lock_unpoisoned(&outcome_sets).insert(*source_fingerprint);
                         }
-                        if matches!(binned, ItemOutcome::Positive { .. }) {
-                            telechat_obs::add(telechat_obs::Counter::CampaignPositives, 1);
-                        }
-                        apply_outcome(&mut res, key, binned.clone());
                     }
+                    if matches!(binned, ItemOutcome::Positive { .. }) {
+                        telechat_obs::add(telechat_obs::Counter::CampaignPositives, 1);
+                    }
+                    apply_outcome(&mut lock_unpoisoned(&result), key, binned.clone());
                     if durable {
                         if let Some(journal) = &spec.journal {
                             journal.record(&ItemRecord {
@@ -822,20 +882,164 @@ pub(crate) fn apply_outcome(
     }
 }
 
-/// Runs one work item behind the failure-isolation boundary: a panic
-/// anywhere in the pipeline is caught and becomes [`Error::Panicked`], and
-/// when a wall-clock deadline is configured ([`telechat_exec::SimConfig::deadline`])
-/// the item runs on a watchdog thread and is abandoned — as
+/// One campaign work item on the frontier.
+struct Work {
+    /// The worker that parked the item, which resumes it (see [`Queue`]);
+    /// `None` for an item any worker takes next.
+    home: Option<usize>,
+    test: Arc<LitmusTest>,
+    profile: usize,
+    /// Runs so far, including the current one (supervised retries).
+    attempts: u32,
+    /// Times the item has parked; keys the resumed `target-sim` span.
+    parks: u32,
+    /// The item's `work-item` span, re-entered when it resumes.
+    span: Option<telechat_obs::SpanRef>,
+    stage: Stage,
+}
+
+impl Work {
+    fn start(test: Arc<LitmusTest>, profile: usize, followers: Vec<usize>) -> Work {
+        Work {
+            home: None,
+            test,
+            profile,
+            attempts: 1,
+            parks: 0,
+            span: None,
+            stage: Stage::Start(followers),
+        }
+    }
+}
+
+/// Where a work item stands.
+enum Stage {
+    /// Not started. A lead item carries its followers' profile indices.
+    Start(Vec<usize>),
+    /// Parked on an in-flight target leg after the first half of the
+    /// pipeline; resumes with the target leg.
+    Resume(Box<Continuation>),
+    /// Parked longer than the deadline: fails as [`Error::Deadline`].
+    Expired,
+}
+
+/// The campaign frontier, shared with the wakers parked on cache gates.
+struct Frontier {
+    queue: Mutex<Queue>,
+    /// Signalled whenever parked work is handed back.
+    idle: Condvar,
+}
+
+/// A group of work items parked together; emptied by whichever of its
+/// waker and its deadline comes first.
+type Parked = Arc<Mutex<Vec<Work>>>;
+
+struct Queue {
+    /// New items, and lead items' followers handed back, at the front.
+    items: VecDeque<Work>,
+    /// Per worker: the continuations it parked, handed back, at the front
+    /// of that worker's frontier. A worker resumes its own items before
+    /// anything else, and another worker's only when the source is dry:
+    /// a continuation's allocations stay on the thread that made them.
+    /// (Resuming anywhere was measured on the 2-core profile matrix: over
+    /// half the items park, and freeing the other thread's allocations
+    /// cost ~50k malloc-arena futex waits and ~15 % more CPU per campaign.)
+    resumes: Vec<VecDeque<Work>>,
+    /// Parked groups not yet handed back — the one count of outstanding
+    /// releases. While it is non-zero, an empty queue with a dry source
+    /// does **not** mean the campaign is done, so idle workers wait.
+    outstanding: usize,
+    /// When each parked continuation's deadline runs out (deadline
+    /// campaigns only).
+    expiries: Vec<(Instant, Parked)>,
+}
+
+impl Frontier {
+    /// Parks `works` as one group and returns the waker that hands them
+    /// back, in order, to the *front* of the queue (or of their worker's
+    /// resumes), where they run while the entry they waited for is
+    /// cache-hot. With `expires`, the group instead fails as
+    /// [`Stage::Expired`] if it is still parked then.
+    fn park(self: &Arc<Self>, works: Vec<Work>, expires: Option<Instant>) -> Waker {
+        let parked: Parked = Arc::new(Mutex::new(works));
+        {
+            let mut q = lock_unpoisoned(&self.queue);
+            q.outstanding += 1;
+            if let Some(at) = expires {
+                q.expiries.push((at, parked.clone()));
+            }
+        }
+        let frontier = self.clone();
+        Waker::new(move || {
+            let works = std::mem::take(&mut *lock_unpoisoned(&parked));
+            if !works.is_empty() {
+                lock_unpoisoned(&frontier.queue).hand_back(works);
+                frontier.idle.notify_all();
+            }
+        })
+    }
+}
+
+impl Queue {
+    fn hand_back(&mut self, works: Vec<Work>) {
+        for work in works.into_iter().rev() {
+            match work.home {
+                Some(h) => self.resumes[h].push_front(work),
+                None => self.items.push_front(work),
+            }
+        }
+        self.outstanding -= 1;
+    }
+
+    /// Hands back every parked group whose deadline has passed, as
+    /// expired items. A parked item never waits on a leg longer than the
+    /// deadline, even one whose computation was abandoned and never
+    /// publishes.
+    fn expire(&mut self, now: Instant) {
+        let (due, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.expiries)
+            .into_iter()
+            .partition(|(at, _)| *at <= now);
+        self.expiries = live;
+        for (_, parked) in due {
+            let mut works = std::mem::take(&mut *lock_unpoisoned(&parked));
+            if !works.is_empty() {
+                for work in &mut works {
+                    work.stage = Stage::Expired;
+                }
+                self.hand_back(works);
+            }
+        }
+    }
+}
+
+/// One step of a work item.
+enum Step {
+    /// The item finished: its report with the fingerprint of its source
+    /// outcome set, or its error.
+    Done(Result<(TestReport, u64)>),
+    /// The target leg is in flight on another worker: park the
+    /// continuation on its gate.
+    Parked(Arc<Gate>, Continuation),
+}
+
+/// Runs one step of a work item — from the start, or resuming a parked
+/// continuation — behind the failure-isolation boundary: a panic anywhere
+/// in the pipeline is caught and becomes [`Error::Panicked`], and when a
+/// wall-clock deadline is configured ([`telechat_exec::SimConfig::deadline`])
+/// the step runs on a watchdog thread and is abandoned — as
 /// [`Error::Deadline`] — if it overruns. Either way the rest of the
-/// campaign completes; the faulted item is a typed error cell.
+/// campaign completes; the faulted item is a typed error cell. An
+/// abandoned step never parks: its answer is dropped with the channel.
 fn run_isolated(
     tool: &Telechat,
     test: &Arc<LitmusTest>,
     compiler: &Compiler,
+    resume: Option<Box<Continuation>>,
+    parks: u32,
     deadline: Option<Duration>,
-) -> Result<TestReport> {
+) -> Step {
     let Some(limit) = deadline else {
-        return catch_run(tool, test, compiler);
+        return catch_step(tool, test, compiler, resume, parks);
     };
     let (done, took) = std::sync::mpsc::channel();
     let watched = {
@@ -847,27 +1051,77 @@ fn run_isolated(
         let parent = telechat_obs::current();
         std::thread::spawn(move || {
             let _trace = telechat_obs::adopt(parent);
-            let _ = done.send(catch_run(&tool, &test, &compiler));
+            let _ = done.send(catch_step(&tool, &test, &compiler, resume, parks));
         })
     };
     match took.recv_timeout(limit) {
-        Ok(outcome) => {
+        Ok(step) => {
             let _ = watched.join();
-            outcome
+            step
         }
         // Abandon the stalled thread: it holds only `Arc`s and will exit
         // harmlessly whenever (if ever) the stall clears — in particular
         // it still publishes its cache gate then, so waiters never hang.
-        Err(_) => Err(Error::Deadline {
-            limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
-        }),
+        Err(_) => Step::Done(Err(deadline_error(limit))),
     }
 }
 
-/// `tool.run` with panics converted to [`Error::Panicked`].
-fn catch_run(tool: &Telechat, test: &LitmusTest, compiler: &Compiler) -> Result<TestReport> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tool.run(test, compiler)))
-        .unwrap_or_else(|panic| Err(Error::Panicked(panic_message(panic.as_ref()))))
+fn deadline_error(limit: Duration) -> Error {
+    Error::Deadline {
+        limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
+    }
+}
+
+/// [`advance`] with panics converted to [`Error::Panicked`].
+fn catch_step(
+    tool: &Telechat,
+    test: &LitmusTest,
+    compiler: &Compiler,
+    resume: Option<Box<Continuation>>,
+    parks: u32,
+) -> Step {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        advance(tool, test, compiler, resume, parks)
+    }))
+    .unwrap_or_else(|panic| Step::Done(Err(Error::Panicked(panic_message(panic.as_ref())))))
+}
+
+/// [`Telechat::run`] for a campaign work item, split where it may have to
+/// wait: the first half (or the parked continuation), then the target leg
+/// without blocking, then the second half.
+fn advance(
+    tool: &Telechat,
+    test: &LitmusTest,
+    compiler: &Compiler,
+    resume: Option<Box<Continuation>>,
+    parks: u32,
+) -> Step {
+    let c = match resume {
+        Some(c) => *c,
+        None => match tool.begin(test, compiler) {
+            Ok(c) => c,
+            Err(e) => return Step::Done(Err(e)),
+        },
+    };
+    let target = {
+        // A resumed item's leg span is keyed by its park count, so span
+        // ids stay unique under the one `work-item` span.
+        let _span = telechat_obs::span_with("target-sim", || {
+            if parks == 0 {
+                String::new()
+            } else {
+                parks.to_string()
+            }
+        });
+        match tool.try_target_leg(&c) {
+            Ok(target) => target,
+            Err(gate) => return Step::Parked(gate, c),
+        }
+    };
+    Step::Done(target.map(|target| {
+        let source_fingerprint = c.source_fingerprint();
+        (tool.finish(c, &target), source_fingerprint)
+    }))
 }
 
 /// Best-effort extraction of a panic payload's message.

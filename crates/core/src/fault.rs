@@ -113,6 +113,10 @@ pub enum FaultAction {
     Panic,
     /// Sleep for the given duration before proceeding normally.
     Stall(Duration),
+    /// Sleep for the given duration, then panic: other work items that
+    /// need the same cached leg meanwhile find it in flight, so the panic
+    /// poisons a gate with waiters on it.
+    PanicAfter(Duration),
 }
 
 /// One armed fault.
@@ -193,6 +197,10 @@ pub fn fire(leg: FaultLeg, test_name: &str) {
     match action {
         FaultAction::Panic => panic!("injected {leg:?}-leg fault on `{test_name}`"),
         FaultAction::Stall(d) => std::thread::sleep(d),
+        FaultAction::PanicAfter(d) => {
+            std::thread::sleep(d);
+            panic!("injected {leg:?}-leg fault on `{test_name}`")
+        }
     }
 }
 

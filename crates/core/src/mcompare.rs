@@ -11,7 +11,7 @@
 use crate::mapping::StateMapping;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use telechat_common::{OutcomeSet, StateKey};
+use telechat_common::{fnv1a64, OutcomeSet, StateKey};
 
 /// The profile-invariant half of a comparison: the keys the source
 /// outcomes observe, and the source set restricted to them. Computing this
@@ -25,6 +25,10 @@ pub struct SourceObservables {
     pub keys: Arc<BTreeSet<StateKey>>,
     /// The source outcomes restricted to `keys`.
     pub outcomes: Arc<OutcomeSet>,
+    /// FNV-1a fingerprint of the rendered `outcomes`: the identity the
+    /// campaign's `coverage.source_outcome_sets` row counts distinct
+    /// values of, computed once per source leg rather than per work item.
+    pub fingerprint: u64,
 }
 
 impl SourceObservables {
@@ -34,6 +38,7 @@ impl SourceObservables {
         let outcomes = source_outcomes.restrict(&keys);
         SourceObservables {
             keys: Arc::new(keys),
+            fingerprint: fnv1a64(0, outcomes.to_string().as_bytes()),
             outcomes: Arc::new(outcomes),
         }
     }

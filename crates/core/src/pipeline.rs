@@ -12,11 +12,11 @@
 //! program is parsed and staged once per process rather than once per
 //! `Telechat`/run.
 
-use crate::cache::{SimCache, SourceLeg};
+use crate::cache::{Gate, SimCache, SourceLeg, Waker};
 use crate::fault::{self, FaultLeg};
 use crate::l2c::{self, PreparedSource};
 use crate::mapping::StateMapping;
-use crate::mcompare::{mcompare_shared, Comparison, SourceObservables};
+use crate::mcompare::{mcompare_shared, Comparison};
 use crate::s2l::{self, S2lOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -180,11 +180,7 @@ impl Telechat {
             Some(cache) => cache.source_leg(prepared, &self.source_model, &self.config.sim),
             None => {
                 fault::fire(FaultLeg::Source, &prepared.test.name);
-                let result = simulate(&prepared.test, &*self.source_model, &self.config.sim)?;
-                Ok(SourceLeg {
-                    observables: SourceObservables::of(&result.outcomes),
-                    result: Arc::new(result),
-                })
+                simulate(&prepared.test, &*self.source_model, &self.config.sim).map(SourceLeg::of)
             }
         }
     }
@@ -203,10 +199,25 @@ impl Telechat {
     fn target_leg(&self, target: &LitmusTest, model: &CatModel) -> Result<Arc<SimResult>> {
         match &self.cache {
             Some(cache) => cache.target_leg(target, model, &self.config.sim),
-            None => {
-                fault::fire(FaultLeg::Target, &target.name);
-                Ok(Arc::new(simulate(target, model, &self.config.sim)?))
-            }
+            None => self.simulate_target(target, model),
+        }
+    }
+
+    fn simulate_target(&self, target: &LitmusTest, model: &CatModel) -> Result<Arc<SimResult>> {
+        fault::fire(FaultLeg::Target, &target.name);
+        Ok(Arc::new(simulate(target, model, &self.config.sim)?))
+    }
+
+    /// The target leg of a continuation without blocking: the leg, or
+    /// `Err(gate)` while another campaign worker computes the same leg
+    /// (only possible with a cache attached).
+    pub(crate) fn try_target_leg(
+        &self,
+        c: &Continuation,
+    ) -> std::result::Result<Result<Arc<SimResult>>, Arc<Gate>> {
+        match &self.cache {
+            Some(cache) => cache.try_target_leg(&c.target, &c.target_model, &self.config.sim),
+            None => Ok(self.simulate_target(&c.target, &c.target_model)),
         }
     }
 
@@ -256,7 +267,10 @@ impl Telechat {
         Ok((prepared, compiled, mapping, asm, litmus))
     }
 
-    /// Runs the whole `test_tv` check for one test and compiler.
+    /// Runs the whole `test_tv` check for one test and compiler: the first
+    /// half (prepare, compile, extract, source leg), the target leg, then
+    /// the second half (accounting, `mcompare`, verdict). Campaign workers
+    /// run the same halves but never block on the target leg.
     ///
     /// # Errors
     ///
@@ -265,29 +279,52 @@ impl Telechat {
     /// extraction failures. Cached legs replay the original error for
     /// every profile, exactly as the uncached driver fails each one.
     pub fn run(&self, test: &LitmusTest, compiler: &Compiler) -> Result<TestReport> {
-        let (prepared, _compiled, mapping, asm, target_litmus) = self.extract(test, compiler)?;
+        let c = self.begin(test, compiler)?;
+        // Step 4: simulate the compiled test under the architecture model
+        // (shared across profiles that extracted identical code).
+        let target = {
+            let _span = telechat_obs::span("target-sim");
+            self.target_leg(&c.target, &c.target_model)?
+        };
+        Ok(self.finish(c, &target))
+    }
+
+    /// The first half of [`Telechat::run`]: prepare, compile, extract, the
+    /// source leg and the target-model resolution — everything before the
+    /// target leg, which a campaign worker may have to park for.
+    pub(crate) fn begin(&self, test: &LitmusTest, compiler: &Compiler) -> Result<Continuation> {
+        let (prepared, _compiled, mapping, asm, target) = self.extract(test, compiler)?;
 
         // Step 3: simulate the source under the source model (shared
         // across profiles through the cache).
-        let source: SourceLeg = {
+        let source = {
             let _span = telechat_obs::span("source-sim");
             self.source_leg(&prepared)?
         };
+        let target_model = self.target_model(&target)?;
+        Ok(Continuation {
+            test_name: test.name.clone(),
+            profile: compiler.profile_name(),
+            mapping,
+            asm,
+            target,
+            target_model,
+            source,
+        })
+    }
 
-        // Step 4: simulate the compiled test under the architecture model
-        // (shared across profiles that extracted identical code).
-        let target_result: Arc<SimResult> = {
-            let _span = telechat_obs::span("target-sim");
-            let target_model = self.target_model(&target_litmus)?;
-            self.target_leg(&target_litmus, &target_model)?
-        };
+    /// The second half of [`Telechat::run`], given the target leg's
+    /// result: absorbs both legs' accounting, runs `mcompare` and returns
+    /// the verdict.
+    pub(crate) fn finish(&self, c: Continuation, target_result: &SimResult) -> TestReport {
+        let source = c.source;
 
         // Both legs succeeded: absorb their simulation accounting into the
         // metrics registry. Cached/stored replays carry the original run's
         // counters, so the campaign totals are a pure function of the work
         // list — invariant across thread counts, cache on/off and store
         // warm/cold. (`steal_tasks` is scheduling-class and replays as 0.)
-        for leg in [source.result.as_ref(), target_result.as_ref()] {
+        for leg in [source.result.as_ref(), target_result] {
             telechat_obs::add(telechat_obs::Counter::SimCandidates, leg.candidates);
             telechat_obs::add(telechat_obs::Counter::SimAllowed, leg.allowed);
             telechat_obs::add(telechat_obs::Counter::SimPruned, leg.pruned_candidates);
@@ -304,7 +341,7 @@ impl Telechat {
         // so the labelled totals and merged histograms share the counters'
         // determinism guarantee. Gated: the label formatting is not free.
         if telechat_obs::enabled() {
-            for leg in [source.result.as_ref(), target_result.as_ref()] {
+            for leg in [source.result.as_ref(), target_result] {
                 for (rule, n) in &leg.rule_leaves {
                     telechat_obs::add_labelled(&format!("sim.rule.leaf.{rule}"), *n);
                 }
@@ -327,7 +364,7 @@ impl Telechat {
         // Step 5: mcompare — only the target half runs per profile.
         let cmp: Comparison = {
             let _span = telechat_obs::span("compare");
-            mcompare_shared(&source.observables, &target_result.outcomes, &mapping)
+            mcompare_shared(&source.observables, &target_result.outcomes, &c.mapping)
         };
 
         let verdict = if source.result.has_flag("race") {
@@ -342,9 +379,9 @@ impl Telechat {
             TestVerdict::Pass
         };
 
-        Ok(TestReport {
-            test_name: test.name.clone(),
-            profile: compiler.profile_name(),
+        TestReport {
+            test_name: c.test_name,
+            profile: c.profile,
             verdict,
             source_outcomes: cmp.source,
             target_outcomes: cmp.target,
@@ -352,8 +389,18 @@ impl Telechat {
             negative: cmp.negative,
             source_time: source.result.elapsed,
             target_time: target_result.elapsed,
-            asm_test: asm,
-        })
+            asm_test: c.asm,
+        }
+    }
+
+    /// The campaign warm-up: prepares `test` and claims its source leg
+    /// without blocking, with `waker` parked on the leg until it is ready
+    /// (see [`SimCache`]). Without a cache the waker comes back at once.
+    pub(crate) fn warm_source(&self, test: &LitmusTest, waker: Waker) {
+        if let Some(cache) = &self.cache {
+            let prepared = self.prepare(test);
+            cache.park_on_source_leg(&prepared, &self.source_model, &self.config.sim, waker);
+        }
     }
 
     /// Simulates only the source side (used by baselines like C4 that
@@ -366,6 +413,26 @@ impl Telechat {
     pub fn simulate_source(&self, test: &LitmusTest) -> Result<Arc<SimResult>> {
         let prepared = self.prepare(test);
         self.source_leg(&prepared).map(|leg| leg.result)
+    }
+}
+
+/// A work item between the halves of [`Telechat::run`]: what the target
+/// leg and the comparison still need.
+pub(crate) struct Continuation {
+    test_name: String,
+    profile: String,
+    mapping: StateMapping,
+    asm: AsmTest,
+    target: LitmusTest,
+    target_model: Arc<CatModel>,
+    source: SourceLeg,
+}
+
+impl Continuation {
+    /// The fingerprint of the item's restricted source outcome set (see
+    /// [`crate::mcompare::SourceObservables::fingerprint`]).
+    pub(crate) fn source_fingerprint(&self) -> u64 {
+        self.source.observables.fingerprint
     }
 }
 

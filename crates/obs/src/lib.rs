@@ -248,6 +248,7 @@ counters! {
     CampaignRetries => ("campaign.retries", Scheduling),
     CampaignDeadlineKills => ("campaign.deadline_kills", Scheduling),
     CampaignPanics => ("campaign.panics", Scheduling),
+    CampaignParked => ("campaign.parked", Scheduling),
     RegistryLoads => ("registry.loads", Process),
     RegistryCompiles => ("registry.compiles", Process),
     FaultFirings => ("fault.firings", Process),

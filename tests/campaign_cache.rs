@@ -10,7 +10,7 @@ use telechat_repro::core::{
     run_campaign, run_campaign_source, CampaignResult, CampaignSpec, PipelineConfig, SimCache,
     Telechat,
 };
-use telechat_repro::fuzz::{FuzzConfig, FuzzSource};
+use telechat_repro::fuzz::{corpus, FuzzConfig, FuzzSource, GenConfig};
 use telechat_repro::litmus::{parse_c11, LitmusTest};
 use telechat_compiler::{Compiler, CompilerId, OptLevel, Target};
 
@@ -135,6 +135,43 @@ fn cached_campaign_is_byte_identical_on_a_seeded_fuzz_stream() {
     // The cache counters themselves are deterministic across thread
     // counts (each distinct key computes exactly once).
     assert_eq!(run(1, true).cache, run(4, true).cache);
+}
+
+/// A collision-heavy sweep: every profile of one architecture, where the
+/// ~9 profiles of a test mostly extract identical code and so share one
+/// target leg. Campaign workers constantly find that leg in flight on
+/// another worker and park on it; parking must be invisible — cells,
+/// positives and cache traffic byte-identical at every worker count, and
+/// to the uncached driver.
+#[test]
+fn parking_on_shared_target_legs_is_byte_identical_at_every_thread_count() {
+    let suite: Vec<LitmusTest> = corpus(&GenConfig::corpus(2))
+        .into_iter()
+        .map(|(_, test)| test)
+        .collect();
+    assert_eq!(suite.len(), 61, "the comm <= 2 corpus");
+    let sweep = |threads: usize, cache: bool| CampaignSpec {
+        opts: OptLevel::CAMPAIGN.to_vec(),
+        ..spec(threads, cache)
+    };
+    let config = PipelineConfig::default();
+    let uncached = run_campaign(&suite, &sweep(1, false), &config).unwrap();
+    let serial = run_campaign(&suite, &sweep(1, true), &config).unwrap();
+    assert_eq!(semantic_fingerprint(&serial), semantic_fingerprint(&uncached));
+    let s = serial.cache;
+    assert!(
+        s.target_hits > 4 * s.target_misses,
+        "most profiles share a target leg: {s:?}"
+    );
+    for threads in [2, 4, 8] {
+        let r = run_campaign(&suite, &sweep(threads, true), &config).unwrap();
+        assert_eq!(
+            semantic_fingerprint(&r),
+            semantic_fingerprint(&uncached),
+            "threads={threads}"
+        );
+        assert_eq!(r.cache, serial.cache, "threads={threads}");
+    }
 }
 
 #[test]

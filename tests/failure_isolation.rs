@@ -1,9 +1,9 @@
 //! Failure-isolation pins: injected engine faults (panics, stalls) on a
 //! simulation leg are contained to the faulted work item — the rest of the
-//! campaign completes, blocked cache followers are woken (a poisoned gate
-//! never becomes a hang), transient faults retry exactly once, and a
-//! stalled leg overrunning [`SimConfig::deadline`] becomes a typed error
-//! cell instead of wedging the campaign.
+//! campaign completes, items parked on a poisoned gate are handed back (a
+//! poisoned gate never becomes a hang), transient faults retry exactly
+//! once, and a stalled leg overrunning [`SimConfig::deadline`] becomes a
+//! typed error cell instead of wedging the campaign.
 //!
 //! The fault registry is process-global, so every test here serialises on
 //! one mutex and disarms via a drop guard — a failing assertion cannot
@@ -272,4 +272,110 @@ fn a_stalled_leg_overruns_the_deadline_into_a_typed_error() {
     assert_eq!(r.cells[&key].errors, 1, "the overrun is a typed error cell");
     assert_eq!(r.cells[&key].total(), 1);
     assert!(r.positive_tests.is_empty());
+}
+
+#[test]
+fn a_panicking_target_leg_hands_back_the_items_parked_on_it() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fault::disarm_all();
+    let _guard = Disarm;
+
+    // Every profile of one architecture: most of a test's 9 profiles
+    // extract identical code and share one target leg.
+    let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
+    let both = vec![CompilerId::llvm(11), CompilerId::gcc(10)];
+    let sweep = |threads| spec(threads, both.clone(), OptLevel::CAMPAIGN.to_vec());
+    let config = PipelineConfig::default();
+    // The first `SB` target leg computed stalls, so that the other workers
+    // find it in flight and park on it, then panics and poisons its gate.
+    let arm = |transient| {
+        fault::arm(EngineFault {
+            leg: FaultLeg::Target,
+            test_contains: "SB".into(),
+            action: FaultAction::PanicAfter(Duration::from_millis(300)),
+            fires: 1,
+            transient,
+        })
+    };
+
+    // The blocking driver: a single worker never finds a leg in flight on
+    // another worker, so it never parks.
+    arm(true);
+    let blocking = run_campaign(&tests, &sweep(1), &config).unwrap();
+    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    assert_eq!(total_errors(&blocking), 0, "the transient fault healed");
+
+    // Four workers park on the stalled leg. The poisoned gate hands them
+    // back, one of them recomputes, the panicked item retries, and the
+    // campaign terminates with the blocking driver's cells.
+    arm(true);
+    let parking = CampaignSpec {
+        metrics: true,
+        ..sweep(4)
+    };
+    let r = run_bounded(tests.clone(), parking, config.clone());
+    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    assert_eq!(fingerprint(&r), fingerprint(&blocking));
+    let obs = r.obs.as_ref().unwrap();
+    assert!(
+        obs.counter("campaign.parked").unwrap() > 0,
+        "items parked on the stalled leg"
+    );
+    assert_eq!(obs.counter("cache.gate_waits"), Some(0), "no worker blocked");
+
+    // Without the retry, the panic costs exactly the item that computed
+    // the leg: every parked item is handed back and classified.
+    arm(false);
+    let r = run_bounded(tests, sweep(4), config);
+    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    assert_eq!(total_errors(&r), 1, "one typed error cell");
+    for (key, cell) in &blocking.cells {
+        assert_eq!(r.cells[key].total(), cell.total(), "{key:?}");
+    }
+}
+
+#[test]
+fn items_parked_on_an_abandoned_leg_fail_at_the_deadline_instead_of_hanging() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fault::disarm_all();
+    let _guard = Disarm;
+
+    let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
+    let both = vec![CompilerId::llvm(11), CompilerId::gcc(10)];
+    let sweep = CampaignSpec {
+        metrics: true,
+        ..spec(4, both, OptLevel::CAMPAIGN.to_vec())
+    };
+    let mut config = PipelineConfig::default();
+    config.sim.deadline = Some(Duration::from_millis(300));
+    let baseline = run_campaign(&tests, &sweep, &config).unwrap();
+    assert_eq!(total_errors(&baseline), 0);
+
+    // The watchdog abandons the item computing the stalled `SB` leg; the
+    // items parked on that leg's gate must not wait for the stall to clear.
+    let stall = Duration::from_secs(5);
+    fault::arm(EngineFault {
+        leg: FaultLeg::Target,
+        test_contains: "SB".into(),
+        action: FaultAction::Stall(stall),
+        fires: 1,
+        transient: false,
+    });
+    let started = Instant::now();
+    let r = run_bounded(tests, sweep, config);
+    assert!(
+        started.elapsed() < stall,
+        "the campaign must not wait out the stall ({:?})",
+        started.elapsed()
+    );
+    let obs = r.obs.as_ref().unwrap();
+    let parked = obs.counter("campaign.parked").unwrap();
+    assert!(parked > 0, "items parked on the stalled leg");
+    assert!(
+        total_errors(&r) > 1,
+        "the abandoned item and the items parked past the deadline are error cells"
+    );
+    for (key, cell) in &baseline.cells {
+        assert_eq!(r.cells[key].total(), cell.total(), "{key:?}");
+    }
 }
