@@ -300,79 +300,104 @@ impl<'a> Env<'a> {
 ///
 /// Returns [`Error::Model`] on unknown names or type mismatches.
 pub fn eval_expr(e: &CatExpr, env: &Env) -> Result<CatValue> {
-    match e {
-        CatExpr::Name(n) => env.lookup_sym(*n).cloned(),
-        CatExpr::Union(a, b) => binop(a, b, env, "|"),
-        CatExpr::Inter(a, b) => binop(a, b, env, "&"),
-        CatExpr::Diff(a, b) => binop(a, b, env, "\\"),
+    eval_cow(e, env).map(Cow::into_owned)
+}
+
+/// [`eval_expr`] that *borrows* bound names instead of cloning them:
+/// operators that only read an operand (the right side of `|`/`&`/`\`,
+/// both sides of `;` and `cross`, every unary operator) take it by
+/// reference, so a name read costs nothing until a caller needs it owned.
+fn eval_cow<'e>(e: &CatExpr, env: &'e Env) -> Result<Cow<'e, CatValue>> {
+    let owned = match e {
+        CatExpr::Name(n) => return env.lookup_sym(*n).map(Cow::Borrowed),
+        CatExpr::Union(a, b) => binop(a, b, env, BinOp::Union)?,
+        CatExpr::Inter(a, b) => binop(a, b, env, BinOp::Inter)?,
+        CatExpr::Diff(a, b) => binop(a, b, env, BinOp::Diff)?,
         CatExpr::Seq(a, b) => {
-            let (va, vb) = (eval_expr(a, env)?, eval_expr(b, env)?);
-            Ok(CatValue::Rel(va.as_rel(";")?.seq(vb.as_rel(";")?)))
+            let (va, vb) = (eval_cow(a, env)?, eval_cow(b, env)?);
+            CatValue::Rel(va.as_rel(";")?.seq(vb.as_rel(";")?))
         }
         CatExpr::Opt(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_rel("?")?.optional(env.universe())))
+            let v = eval_cow(a, env)?;
+            CatValue::Rel(v.as_rel("?")?.optional(env.universe()))
         }
         CatExpr::Plus(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_rel("+")?.transitive_closure()))
+            let v = eval_cow(a, env)?;
+            CatValue::Rel(v.as_rel("+")?.transitive_closure())
         }
         CatExpr::Star(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(
-                v.as_rel("*")?.reflexive_transitive_closure(env.universe()),
-            ))
+            let v = eval_cow(a, env)?;
+            CatValue::Rel(v.as_rel("*")?.reflexive_transitive_closure(env.universe()))
         }
         CatExpr::Inverse(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_rel("^-1")?.inverse()))
+            let v = eval_cow(a, env)?;
+            CatValue::Rel(v.as_rel("^-1")?.inverse())
         }
         CatExpr::IdOn(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_set("[_]")?.identity()))
+            let v = eval_cow(a, env)?;
+            CatValue::Rel(v.as_set("[_]")?.identity())
         }
         CatExpr::Domain(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Set(v.as_rel("domain")?.domain()))
+            let v = eval_cow(a, env)?;
+            CatValue::Set(v.as_rel("domain")?.domain())
         }
         CatExpr::Range(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Set(v.as_rel("range")?.range()))
+            let v = eval_cow(a, env)?;
+            CatValue::Set(v.as_rel("range")?.range())
         }
         CatExpr::Cross(a, b) => {
-            let (va, vb) = (eval_expr(a, env)?, eval_expr(b, env)?);
-            Ok(CatValue::Rel(
-                va.as_set("cross")?.cross(vb.as_set("cross")?),
-            ))
+            let (va, vb) = (eval_cow(a, env)?, eval_cow(b, env)?);
+            CatValue::Rel(va.as_set("cross")?.cross(vb.as_set("cross")?))
+        }
+    };
+    Ok(Cow::Owned(owned))
+}
+
+/// The in-place binary operators.
+#[derive(Debug, Clone, Copy)]
+enum BinOp {
+    Union,
+    Inter,
+    Diff,
+}
+
+impl BinOp {
+    fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Union => "|",
+            BinOp::Inter => "&",
+            BinOp::Diff => "\\",
         }
     }
 }
 
-fn binop(a: &CatExpr, b: &CatExpr, env: &Env, op: &str) -> Result<CatValue> {
-    // The left operand is owned (already a fresh value), so the bitset
-    // types' in-place `|=`/`&=`/`\=` variants apply directly — no third
-    // allocation per `|`/`&`/`\` node, which the Cat fixpoint loop hits
-    // once per binding per Kleene iteration per candidate.
-    let (va, vb) = (eval_expr(a, env)?, eval_expr(b, env)?);
-    match (va, vb) {
+fn binop(a: &CatExpr, b: &CatExpr, env: &Env, op: BinOp) -> Result<CatValue> {
+    // The left operand is owned (a fresh value, or a copy of a bound
+    // name), so the bitset types' in-place `|=`/`&=`/`\=` variants apply
+    // directly; the right operand is only read, so a bound name is
+    // borrowed, never copied.
+    let va = eval_cow(a, env)?.into_owned();
+    let vb = eval_cow(b, env)?;
+    match (va, vb.as_ref()) {
         (CatValue::Set(mut x), CatValue::Set(y)) => {
             match op {
-                "|" => x.union_with(&y),
-                "&" => x.inter_with(&y),
-                _ => x.diff_with(&y),
+                BinOp::Union => x.union_with(y),
+                BinOp::Inter => x.inter_with(y),
+                BinOp::Diff => x.diff_with(y),
             }
             Ok(CatValue::Set(x))
         }
         (CatValue::Rel(mut x), CatValue::Rel(y)) => {
             match op {
-                "|" => x.union_with(&y),
-                "&" => x.inter_with(&y),
-                _ => x.diff_with(&y),
+                BinOp::Union => x.union_with(y),
+                BinOp::Inter => x.inter_with(y),
+                BinOp::Diff => x.diff_with(y),
             }
             Ok(CatValue::Rel(x))
         }
         (va, vb) => Err(Error::Model(format!(
-            "type mismatch for `{op}`: {} vs {}",
+            "type mismatch for `{}`: {} vs {}",
+            op.symbol(),
             va.type_name(),
             vb.type_name()
         ))),

@@ -203,13 +203,13 @@ impl ConsistencyModel for CatModel {
             .unwrap_or_else(|e| panic!("model `{}` failed to evaluate: {e}", self.model_name()))
     }
 
-    /// Opens the staged per-combo session ([`StagedState`]) when the plan
+    /// Opens the staged session ([`StagedState`]) when the plan
     /// has anything to prune with: the session joins the engine's
     /// incremental per-edge protocol, monotone constraints reject entire
     /// subtrees mid-DFS, and leaf verdicts are answered from incremental
     /// state. Models whose plan cannot prune (or with staging disabled)
     /// fall back to the leaf-only session, which still caches every
-    /// skeleton-constant binding once per combo.
+    /// skeleton-constant binding once per session.
     fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
         let session = if self.staged && self.plan.prunes() {
             match StagedState::new(&self.plan, skeleton) {
@@ -240,7 +240,7 @@ enum CatSession<'a> {
     Plain { base: EnvBase },
 }
 
-/// [`CatModel`]'s per-combo checking session (see
+/// [`CatModel`]'s per-skeleton checking session (see
 /// [`ConsistencyModel::combo_checker`]).
 struct CatComboChecker<'a> {
     program: &'a CatProgram,

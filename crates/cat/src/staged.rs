@@ -22,7 +22,7 @@
 //!    over the closure-free body. Everything else (negated or
 //!    non-monotone checks, and all flags) is *residual*: evaluated only
 //!    at DFS leaves, with dead dynamic bindings skipped entirely.
-//! 3. **Incremental execution** ([`StagedState`]): one state per combo
+//! 3. **Incremental execution** ([`StagedState`]): one state per
 //!    session. It mirrors `rf`/`co` and the derived `fr` per pushed edge,
 //!    re-evaluates only the rf/co-dependent *frontier* of bindings, and
 //!    diffs each staged constraint's value against its previous value —
@@ -41,16 +41,16 @@
 //! verdict (and the first-violated rule name) is byte-identical to
 //! [`crate::eval::run_program`] — pinned by the differential suites.
 //!
-//! [`IncrementalOrder`] instances are drawn from a thread-local pool and
-//! rebuilt with [`IncrementalOrder::reset`], so per-combo session setup
-//! does not reallocate the reachability word matrix.
+//! A session depends only on the value-free skeleton, and popping every
+//! push returns it to its opening state, so the enumerator opens one per
+//! skeleton and reuses it for every combo that shares it (see
+//! [`telechat_exec::ConsistencyModel::combo_checker`]).
 
 use crate::ast::{CatExpr, CatProgram, CatStmt, CheckKind};
 use crate::eval::{
     base_syms, check_holds, eval_expr, eval_let_group, set_slot, CatValue, Env, EnvBase,
 };
 use crate::monotone::{classify_let_group, expr_dep, Dep, DepMap};
-use std::cell::RefCell;
 use std::collections::HashSet;
 use telechat_common::{Error, EventId, Result, Sym};
 use telechat_exec::{EventSet, Execution, IncrementalOrder, PartialVerdict, Relation, Verdict};
@@ -515,27 +515,6 @@ impl StagedPlan {
 // Per-combo incremental state.
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// Recycled [`IncrementalOrder`]s: combo sessions of one simulation
-    /// have the same node count, so `reset` reuses the word matrix
-    /// allocation instead of reallocating per combo.
-    static ORDER_POOL: RefCell<Vec<IncrementalOrder>> = const { RefCell::new(Vec::new()) };
-}
-
-fn acquire_order(nodes: usize, seed: &Relation) -> IncrementalOrder {
-    match ORDER_POOL.with(|p| p.borrow_mut().pop()) {
-        Some(mut order) => {
-            order.reset(nodes, &[seed]);
-            order
-        }
-        None => IncrementalOrder::new(nodes, &[seed]),
-    }
-}
-
-fn release_order(order: IncrementalOrder) {
-    ORDER_POOL.with(|p| p.borrow_mut().push(order));
-}
-
 /// Per-constraint runtime state.
 #[derive(Debug)]
 enum ConState {
@@ -580,9 +559,9 @@ struct ConsFrame {
     selfloops: u32,
 }
 
-/// The per-combo staged checking state (one per
+/// The staged checking state of one skeleton (one per
 /// [`crate::CatModel::combo_checker`] session when the plan
-/// [`StagedPlan::prunes`]).
+/// [`StagedPlan::prunes`]), shared by the combos of that skeleton.
 pub struct StagedState<'a> {
     plan: &'a StagedPlan,
     /// Skeleton bindings + per-combo constants (`let`s and hoists).
@@ -643,27 +622,13 @@ impl<'a> StagedState<'a> {
                 Step::BindConst {
                     recursive,
                     bindings,
-                } => {
-                    let taken = {
-                        let mut env = Env::view(&state.base, &state.slots);
-                        eval_let_group(&mut env, *recursive, bindings)?;
-                        env.take_slots()
-                    };
-                    state.adopt(taken, bindings, true);
-                }
+                } => state.bind_group(*recursive, bindings, true)?,
                 Step::BindDyn {
                     recursive,
                     bindings,
                     frontier: true,
                     ..
-                } => {
-                    let taken = {
-                        let mut env = Env::view(&state.base, &state.slots);
-                        eval_let_group(&mut env, *recursive, bindings)?;
-                        env.take_slots()
-                    };
-                    state.adopt(taken, bindings, false);
-                }
+                } => state.bind_group(*recursive, bindings, false)?,
                 Step::BindDyn { .. } => {}
                 Step::CheckConst {
                     cslot,
@@ -688,7 +653,7 @@ impl<'a> StagedState<'a> {
                     };
                     let con = match (c.mode, seed) {
                         (Mode::Acyclic, CatValue::Rel(value)) => ConState::Acyclic {
-                            order: acquire_order(nodes, &value),
+                            order: IncrementalOrder::new(nodes, &[&value]),
                             value,
                         },
                         (Mode::Irreflexive, CatValue::Rel(value)) => ConState::Irreflexive {
@@ -725,22 +690,44 @@ impl<'a> StagedState<'a> {
         Ok(state)
     }
 
-    /// Moves `let`-group results produced through a view into the base
-    /// (`to_base`) or the shared dynamic slots.
-    fn adopt(
+    /// Evaluates one `let` group into the base (`to_base`) or the shared
+    /// dynamic slots. A non-recursive group writes each value straight into
+    /// its slot: later bindings of the group read it there exactly as they
+    /// would read a view's own layer, and stageable plans shadow no name,
+    /// so the order of reads and writes is the plain evaluator's. A
+    /// recursive group runs its Kleene iteration in a view and moves the
+    /// fixpoint over.
+    fn bind_group(
         &mut self,
-        mut taken: Vec<Option<CatValue>>,
+        recursive: bool,
         bindings: &[(Sym, CatExpr)],
         to_base: bool,
-    ) {
+    ) -> Result<()> {
+        if !recursive {
+            for (sym, expr) in bindings {
+                let v = eval_expr(expr, &Env::view(&self.base, &self.slots))?;
+                self.bind(*sym, v, to_base);
+            }
+            return Ok(());
+        }
+        let mut taken = {
+            let mut env = Env::view(&self.base, &self.slots);
+            eval_let_group(&mut env, true, bindings)?;
+            env.take_slots()
+        };
         for (sym, _) in bindings {
             if let Some(v) = taken.get_mut(sym.index()).and_then(Option::take) {
-                if to_base {
-                    self.base.bind(*sym, v);
-                } else {
-                    set_slot(&mut self.slots, *sym, v);
-                }
+                self.bind(*sym, v, to_base);
             }
+        }
+        Ok(())
+    }
+
+    fn bind(&mut self, sym: Sym, v: CatValue, to_base: bool) {
+        if to_base {
+            self.base.bind(sym, v);
+        } else {
+            set_slot(&mut self.slots, sym, v);
         }
     }
 
@@ -857,12 +844,7 @@ impl<'a> StagedState<'a> {
             else {
                 unreachable!("frontier steps are dynamic bindings");
             };
-            let taken = {
-                let mut env = Env::view(&self.base, &self.slots);
-                eval_let_group(&mut env, *recursive, bindings)?;
-                env.take_slots()
-            };
-            self.adopt(taken, bindings, false);
+            self.bind_group(*recursive, bindings, false)?;
         }
         // Recycle a popped frame's buffers (cleared on pop/absorb): the
         // steady-state DFS push allocates no delta vectors.
@@ -983,6 +965,15 @@ impl<'a> StagedState<'a> {
         let mut env = Env::view(&self.base, &self.slots);
         for step in &self.plan.steps {
             match step {
+                // A frontier slot holds the value of the latest push, which
+                // pops leave stale: a leaf with no push in force (a session
+                // reused after its pushes were popped) re-derives it.
+                Step::BindDyn {
+                    recursive,
+                    bindings,
+                    frontier: true,
+                    leaf: true,
+                } if self.frames.is_empty() => eval_let_group(&mut env, *recursive, bindings)?,
                 Step::BindConst { .. } | Step::BindDyn { frontier: true, .. } => {}
                 Step::BindDyn {
                     recursive,
@@ -1043,16 +1034,6 @@ impl<'a> StagedState<'a> {
     /// The node universe size (diagnostics/tests).
     pub fn nodes(&self) -> usize {
         self.nodes
-    }
-}
-
-impl Drop for StagedState<'_> {
-    fn drop(&mut self) {
-        for con in self.cons.drain(..) {
-            if let ConState::Acyclic { order, .. } = con {
-                release_order(order);
-            }
-        }
     }
 }
 
@@ -1299,36 +1280,200 @@ exists (P0:r0=0 /\ P1:r0=0)
         assert!(StagedPlan::compile(&p).prunes());
     }
 
-    /// The order pool round-trips: dropping a session releases its
-    /// `IncrementalOrder`s for the next combo on this thread.
+    /// One step of a hand-scripted DFS over a staged session.
+    #[derive(Clone, Copy)]
+    enum Op {
+        PushRf(u32, u32),
+        PopRf(u32, u32),
+        PushCo(u32, u32),
+        PopCo(u32, u32),
+        Leaf,
+    }
+
+    /// Runs `ops` on `state`, recording the verdict and blame after every
+    /// step and the leaf verdict at every `Leaf`. Coherence pushes extend
+    /// a chain of one predecessor (`PushCo(p, w)` adds `co(p, w)`).
+    fn drive(state: &mut StagedState<'_>, ops: &[Op]) -> Vec<String> {
+        let e = EventId;
+        ops.iter()
+            .map(|op| {
+                let leaf = match *op {
+                    Op::PushRf(w, r) => {
+                        state.push_rf(e(w), e(r)).unwrap();
+                        None
+                    }
+                    Op::PopRf(w, r) => {
+                        state.pop_rf(e(w), e(r));
+                        None
+                    }
+                    Op::PushCo(p, w) => {
+                        state.push_co(&[e(p)], e(w)).unwrap();
+                        None
+                    }
+                    Op::PopCo(p, w) => {
+                        state.pop_co(&[e(p)], e(w));
+                        None
+                    }
+                    Op::Leaf => Some(state.check_leaf().unwrap()),
+                };
+                format!("{:?} {:?} {leaf:?}", state.verdict(), state.blame())
+            })
+            .collect()
+    }
+
+    /// Message passing with a non-atomic payload, so rc11's `race` flag
+    /// depends on the rf-derived happens-before. Event ids: 0/1 init
+    /// writes of x/y, 2 = Wx (plain), 3 = Wy (release), 4 = Ry (acquire),
+    /// 5 = Rx (plain).
+    const MP_NA: &str = r#"
+C11 "MP+na"
+{ x = 0; y = 0; }
+P0 (int* x, atomic_int* y) {
+  *x = 1;
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+P1 (int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  int r1 = *x;
+}
+exists (P1:r0=1 /\ P1:r1=0)
+"#;
+
+    /// The session-reuse contract: a session whose pushes have all been
+    /// popped answers exactly like a freshly opened one — verdicts, blame
+    /// and leaf verdicts (flags included) — even at a leaf reached with no
+    /// push in force, where the frontier bindings the last pop left behind
+    /// must not leak into residual checks.
     #[test]
-    fn order_pool_recycles_across_sessions() {
-        let skeleton = sb_skeleton();
-        let model = CatModel::bundled("aarch64").unwrap();
-        // aarch64 stages two acyclicity constraints (`internal` and the
-        // rewritten `external`); `atomicity` is emptiness and needs no
-        // order.
-        let acyclic = model
-            .plan()
-            .constraints
-            .iter()
-            .filter(|c| c.mode == Mode::Acyclic)
-            .count();
-        assert_eq!(acyclic, 2);
-        {
-            let state = StagedState::new(model.plan(), &skeleton).unwrap();
-            drop(state);
+    fn reused_session_answers_like_a_fresh_one() {
+        let test = parse_c11(MP_NA).unwrap();
+        let r = simulate(&test, &AllowAll, &SimConfig::default().keeping_executions()).unwrap();
+        let mut skeleton = r.executions.into_iter().next().unwrap();
+        skeleton.rf = Relation::new();
+        skeleton.co = Relation::new();
+        // The first combo: message passed (Ry reads Wy, Rx reads Wx),
+        // then the stale-payload branch, every push popped at the end.
+        let first = [
+            Op::PushRf(3, 4),
+            Op::PushRf(2, 5),
+            Op::PushCo(0, 2),
+            Op::PushCo(1, 3),
+            Op::Leaf,
+            Op::PopCo(1, 3),
+            Op::PopCo(0, 2),
+            Op::PopRf(2, 5),
+            Op::PushRf(0, 5),
+            Op::PushCo(0, 2),
+            Op::PushCo(1, 3),
+            Op::Leaf,
+            Op::PopCo(1, 3),
+            Op::PopCo(0, 2),
+            Op::PopRf(0, 5),
+            Op::PopRf(3, 4),
+        ];
+        // The next combo on the same skeleton: a leaf before any push,
+        // then a different rf/co walk.
+        let second = [
+            Op::Leaf,
+            Op::PushRf(1, 4),
+            Op::PushRf(0, 5),
+            Op::PushCo(0, 2),
+            Op::PushCo(1, 3),
+            Op::Leaf,
+            Op::PopCo(1, 3),
+            Op::PopCo(0, 2),
+            Op::PopRf(0, 5),
+            Op::PushRf(2, 5),
+            Op::PushCo(0, 2),
+            Op::Leaf,
+            Op::PopCo(0, 2),
+            Op::PopRf(2, 5),
+            Op::PopRf(1, 4),
+            // The weak outcome (new flag, stale payload), then unwind.
+            Op::PushRf(3, 4),
+            Op::PushRf(0, 5),
+            Op::PushCo(0, 2),
+            Op::PushCo(1, 3),
+            Op::Leaf,
+            Op::PopCo(1, 3),
+            Op::PopCo(0, 2),
+            Op::PopRf(0, 5),
+            Op::PopRf(3, 4),
+            Op::Leaf,
+        ];
+        for model_name in ["aarch64", "rc11", "sc", "x86tso"] {
+            let model = CatModel::bundled(model_name).unwrap();
+            let mut reused = StagedState::new(model.plan(), &skeleton).unwrap();
+            let mut fresh = StagedState::new(model.plan(), &skeleton).unwrap();
+            assert_eq!(
+                drive(&mut reused, &first),
+                drive(&mut fresh, &first),
+                "{model_name}"
+            );
+            let mut fresh = StagedState::new(model.plan(), &skeleton).unwrap();
+            let expected = drive(&mut fresh, &second);
+            assert_eq!(drive(&mut reused, &second), expected, "{model_name}");
+            // The schedule reaches a forbidden node under every model, and
+            // under rc11 the no-push leaf sees no happens-before, so the
+            // race fires there.
+            assert!(
+                expected.iter().any(|r| r.starts_with("Forbidden")),
+                "{model_name}"
+            );
+            if model_name == "rc11" {
+                assert!(expected[0].contains("race"), "{}", expected[0]);
+            }
         }
-        let pooled = ORDER_POOL.with(|p| p.borrow().len());
-        assert!(
-            pooled >= acyclic,
-            "expected ≥ {acyclic} pooled orders, got {pooled}"
-        );
-        // A second session drains and refills the pool.
-        let state = StagedState::new(model.plan(), &skeleton).unwrap();
-        let during = ORDER_POOL.with(|p| p.borrow().len());
-        assert!(during < pooled || pooled == 0);
-        drop(state);
-        assert!(ORDER_POOL.with(|p| p.borrow().len()) >= pooled);
+    }
+
+    /// Combos that alternate between skeletons (a branch on a read value)
+    /// each run on their own skeleton's session: results equal the
+    /// reference oracle at every thread count, staged and leaf-only.
+    #[test]
+    fn alternating_skeletons_match_reference() {
+        use telechat_exec::simulate_reference;
+        const ISA2_CTRL: &str = r#"
+C11 "ISA2+ctrls"
+{ x = 0; y = 0; z = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_acquire);
+  if (r0 == 1) {
+    atomic_store_explicit(y, 1, memory_order_release);
+  }
+}
+P1 (atomic_int* y, int* z) {
+  int r0 = atomic_load_explicit(y, memory_order_relaxed);
+  if (r0 == 1) {
+    *z = 1;
+  }
+}
+P2 (atomic_int* x, int* z) {
+  atomic_store_explicit(x, 1, memory_order_release);
+  int r0 = *z;
+}
+exists (P0:r0=1 /\ P1:r0=1 /\ P2:r0=0)
+"#;
+        let test = parse_c11(ISA2_CTRL).unwrap();
+        for name in ["aarch64", "rc11"] {
+            for model in [
+                CatModel::bundled(name).unwrap(),
+                CatModel::bundled(name).unwrap().without_staging(),
+            ] {
+                let old = simulate_reference(&test, &model, &SimConfig::default()).unwrap();
+                for threads in [1, 4] {
+                    let cfg = SimConfig::default().with_threads(threads);
+                    let new = simulate(&test, &model, &cfg).unwrap();
+                    let tag = format!(
+                        "{name} (staged: {}) threads={threads}",
+                        model.plan().prunes()
+                    );
+                    assert_eq!(new.outcomes, old.outcomes, "{tag}");
+                    assert_eq!(new.candidates, old.candidates, "{tag}");
+                    assert_eq!(new.allowed, old.allowed, "{tag}");
+                    assert_eq!(new.flags, old.flags, "{tag}");
+                    assert_eq!(new.crashed, old.crashed, "{tag}");
+                }
+            }
+        }
     }
 }

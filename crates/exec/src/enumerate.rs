@@ -49,6 +49,22 @@
 //! every thread count**; with `threads = 1` the engine degenerates to the
 //! exact sequential enumeration order of the reference engine.
 //!
+//! # One model session per skeleton
+//!
+//! The combos of a simulation differ mostly in the values their reads
+//! assume, which no consistency model can see: the model reads the
+//! *value-free skeleton* — event kinds, locations, annotations, `po` and
+//! the `rmw`/`addr`/`data`/`ctrl` pairs. Each thread's traces get a shape
+//! id once per simulation (`shape_ids`), a combo's skeleton key is its
+//! tuple of per-thread shape ids, and a combo-mode worker keeps the
+//! session it opened for a key and runs every later combo with that key
+//! on it instead of opening another. The swap-DFS pops every push it
+//! makes, so a session that finished a combo is back in its opening
+//! state, which the [`ConsistencyModel::combo_checker`] contract requires
+//! to answer like a fresh one. A combo that stops early drops its
+//! session, and stolen frontier tasks (which absorb a prefix that is
+//! never popped) always open their own.
+//!
 //! # Intra-combo work stealing
 //!
 //! Combo-granular sharding starves when a simulation has fewer combos
@@ -79,10 +95,10 @@
 
 use crate::config::{PruneSites, SimConfig, SimResult};
 use crate::event::{Event, EventKind, Execution, INIT_THREAD};
-use crate::model::{ConsistencyModel, PartialVerdict, Verdict};
+use crate::model::{ComboChecker, ConsistencyModel, PartialVerdict, Verdict};
 use crate::rel::Relation;
 use crate::trace::{interpret_thread, value_pools, InterpBudget, Trace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -117,6 +133,43 @@ pub(crate) fn interpret_all_traces(
     Ok(thread_traces)
 }
 
+/// The value-free part of a trace: everything a combo session may read.
+#[derive(PartialEq, Eq, Hash)]
+struct TraceShape<'t> {
+    /// Kind, location and annotations per event, in po order.
+    events: Vec<(EventKind, Option<&'t Loc>, AnnotSet)>,
+    rmw: &'t [(usize, usize)],
+    addr: &'t [(usize, usize)],
+    data: &'t [(usize, usize)],
+    ctrl: &'t [(usize, usize)],
+}
+
+/// Numbers one thread's traces by shape: two traces share an id iff they
+/// agree on every event's kind, location, annotations and po position and
+/// on their `rmw`/`addr`/`data`/`ctrl` pairs. Values and final registers
+/// do not count. Ids are dense, in order of first appearance.
+fn shape_ids(traces: &[Trace]) -> Vec<u32> {
+    let mut ids: HashMap<TraceShape<'_>, u32> = HashMap::new();
+    traces
+        .iter()
+        .map(|tr| {
+            let shape = TraceShape {
+                events: tr
+                    .events
+                    .iter()
+                    .map(|e| (e.kind, e.loc.as_ref(), e.annot))
+                    .collect(),
+                rmw: &tr.rmw_pairs,
+                addr: &tr.addr_deps,
+                data: &tr.data_deps,
+                ctrl: &tr.ctrl_deps,
+            };
+            let next = ids.len() as u32;
+            *ids.entry(shape).or_insert(next)
+        })
+        .collect()
+}
+
 /// Simulates `test` under `model` (the paper's `herd(P, M)`).
 ///
 /// # Errors
@@ -135,6 +188,7 @@ pub fn simulate(
     let deadline = config.timeout.map(|t| start + t);
 
     let thread_traces = interpret_all_traces(test, config)?;
+    let shapes: Vec<Vec<u32>> = thread_traces.iter().map(|t| shape_ids(t)).collect();
 
     let observed = test.observed_keys();
     let readonly: BTreeSet<Loc> = test
@@ -194,6 +248,7 @@ pub fn simulate(
         readonly: &readonly,
         deadline,
         thread_traces: &thread_traces,
+        shapes: &shapes,
         counts: &counts,
         total,
         shared: &shared,
@@ -344,6 +399,8 @@ struct WorkerCtx<'a> {
     readonly: &'a BTreeSet<Loc>,
     deadline: Option<Instant>,
     thread_traces: &'a [Vec<Trace>],
+    /// Per thread, the shape id of each trace ([`shape_ids`]).
+    shapes: &'a [Vec<u32>],
     counts: &'a [u64],
     total: u64,
     shared: &'a Shared,
@@ -395,6 +452,22 @@ fn decode_combo<'a>(ctx: &WorkerCtx<'a>, idx: u64) -> Vec<&'a Trace> {
         .collect()
 }
 
+/// Writes combo `idx`'s skeleton key — its per-thread shape ids, decoded
+/// like [`decode_combo`] — into `key`.
+fn skeleton_key(ctx: &WorkerCtx<'_>, idx: u64, key: &mut Vec<u32>) {
+    key.clear();
+    let mut rem = idx;
+    for (t, &c) in ctx.counts.iter().enumerate() {
+        key.push(ctx.shapes[t][(rem % c) as usize]);
+        rem /= c;
+    }
+}
+
+/// A combo-mode worker's model sessions, one per skeleton key it has met
+/// (`None` while the key's session is out with a running combo or was
+/// dropped by one that stopped early).
+type Sessions<'a> = HashMap<Vec<u32>, Option<Box<dyn ComboChecker + 'a>>>;
+
 /// Cross-worker abort / deadline poll at claim boundaries. The intra-combo
 /// deadline tick only fires every 256 leaves, so a workload whose
 /// explosion is in *combinations* (many combos, each small) must also poll
@@ -417,8 +490,10 @@ fn poll_stop(ctx: &WorkerCtx<'_>) -> bool {
     false
 }
 
-fn run_worker(ctx: &WorkerCtx<'_>) -> Vec<(u64, ComboOut)> {
+fn run_worker<'a>(ctx: &WorkerCtx<'a>) -> Vec<(u64, ComboOut)> {
     let mut local = Vec::new();
+    let mut sessions: Sessions<'a> = HashMap::new();
+    let mut key = Vec::with_capacity(ctx.counts.len());
     loop {
         if poll_stop(ctx) {
             return local;
@@ -429,7 +504,12 @@ fn run_worker(ctx: &WorkerCtx<'_>) -> Vec<(u64, ComboOut)> {
         }
         let _span = telechat_obs::span_idx("combo", idx);
         let traces = decode_combo(ctx, idx);
-        match run_combo(ctx, &traces, Vec::new(), 1) {
+        skeleton_key(ctx, idx, &mut key);
+        if !sessions.contains_key(key.as_slice()) {
+            sessions.insert(key.clone(), None);
+        }
+        let session = sessions.get_mut(key.as_slice()).expect("key just inserted");
+        match run_combo(ctx, &traces, Vec::new(), 1, session) {
             Ok(mut out) => {
                 out.combo_idx = idx;
                 local.push((idx, out));
@@ -548,7 +628,7 @@ fn run_task_worker(
             rem /= a;
         }
         let traces = decode_combo(ctx, plan.combo_idx);
-        match run_combo(ctx, &traces, forced, plan.task_charge) {
+        match run_combo(ctx, &traces, forced, plan.task_charge, &mut None) {
             Ok(mut out) => {
                 out.combo_idx = plan.combo_idx;
                 local.push((tid, out));
@@ -582,11 +662,16 @@ const PRUNE_THRESHOLD: u64 = 8;
 /// stolen frontier task: the DFS restricted to the pre-decoded choice at
 /// each of the first `forced.len()` decisions, charging `task_charge` per
 /// forced-level prune (see the module docs and [`ComboRun::maybe_absorb`]).
-fn run_combo(
-    ctx: &WorkerCtx<'_>,
+///
+/// `session` is the model session of the combo's skeleton: taken if
+/// present, opened otherwise, and put back when the DFS completes (every
+/// push popped). A combo that stops early leaves it `None`.
+fn run_combo<'a>(
+    ctx: &WorkerCtx<'a>,
     traces: &[&Trace],
     forced: Vec<usize>,
     task_charge: u64,
+    session: &mut Option<Box<dyn ComboChecker + 'a>>,
 ) -> std::result::Result<ComboOut, Stop> {
     let combined = build_combined(ctx.test, traces);
 
@@ -663,11 +748,14 @@ fn run_combo(
     }
     co_offsets.push(off);
 
-    // Open the model's combo session on the skeleton: combo-constant
-    // derived relations (loc/ext/int, annotation sets, …) are computed
-    // once here and shared by every candidate below. Incremental sessions
-    // additionally receive every DFS edge push/pop (see `ComboChecker`).
-    let checker = ctx.model.combo_checker(&execution);
+    // The model's session for this skeleton: combo-constant derived
+    // relations (loc/ext/int, annotation sets, …) were computed when it
+    // was opened and are shared by every candidate below. Incremental
+    // sessions additionally receive every DFS edge push/pop (see
+    // `ComboChecker`).
+    let checker = session
+        .take()
+        .unwrap_or_else(|| ctx.model.combo_checker(&execution));
     let incremental = checker.incremental();
 
     let mut run = ComboRun {
@@ -692,14 +780,15 @@ fn run_combo(
         visits: 0,
     };
     run.assign_rf(0)?;
+    *session = Some(run.checker);
     Ok(run.out)
 }
 
 /// The per-combo DFS state: one mutable skeleton, extended and undone as
 /// the builder walks rf choices and coherence prefixes.
-struct ComboRun<'a, 'c> {
-    ctx: &'a WorkerCtx<'a>,
-    checker: Box<dyn crate::model::ComboChecker + 'a>,
+struct ComboRun<'r, 'a, 'c> {
+    ctx: &'r WorkerCtx<'a>,
+    checker: Box<dyn ComboChecker + 'a>,
     /// Whether `checker` opted into the per-edge incremental protocol.
     incremental: bool,
     reads: &'c [EventId],
@@ -729,7 +818,7 @@ struct ComboRun<'a, 'c> {
     visits: u64,
 }
 
-impl ComboRun<'_, '_> {
+impl ComboRun<'_, '_, '_> {
     /// Accounts `n` candidates (examined or pruned) against the global
     /// budget, and against this shard's tally (the per-combo DFS-size
     /// histogram sums shard tallies at merge).
@@ -1508,6 +1597,162 @@ exists (P3:r0=1)
                     model.name(),
                     test.name
                 );
+            }
+        }
+    }
+
+    /// A model wrapper that counts the sessions the enumerator opens.
+    struct CountingModel<M> {
+        inner: M,
+        opened: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<M> CountingModel<M> {
+        fn new(inner: M) -> CountingModel<M> {
+            CountingModel {
+                inner,
+                opened: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+
+        fn opened(&self) -> usize {
+            self.opened.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<M: ConsistencyModel> ConsistencyModel for CountingModel<M> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn check(&self, execution: &Execution) -> Verdict {
+            self.inner.check(execution)
+        }
+
+        fn check_partial(&self, partial: &Execution) -> PartialVerdict {
+            self.inner.check_partial(partial)
+        }
+
+        fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
+            self.opened.fetch_add(1, Ordering::Relaxed);
+            self.inner.combo_checker(skeleton)
+        }
+    }
+
+    const MP: &str = r#"
+C11 "MP"
+{ x = 0; y = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(y, 1, memory_order_relaxed);
+}
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_relaxed);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+exists (P1:r0=1 /\ P1:r1=0)
+"#;
+
+    /// A message-passing chain through control dependencies: P0's and
+    /// P1's stores exist only on the branch where their read saw 1, so
+    /// both threads have two trace shapes and the combos alternate
+    /// between skeletons; P2 adds a value-only fork.
+    const ISA2_CTRL: &str = r#"
+C11 "ISA2+ctrls"
+{ x = 0; y = 0; z = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  if (r0 == 1) {
+    atomic_store_explicit(y, 1, memory_order_relaxed);
+  }
+}
+P1 (atomic_int* y, atomic_int* z) {
+  int r0 = atomic_load_explicit(y, memory_order_relaxed);
+  if (r0 == 1) {
+    atomic_store_explicit(z, 1, memory_order_relaxed);
+  }
+}
+P2 (atomic_int* x, atomic_int* z) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  int r0 = atomic_load_explicit(z, memory_order_relaxed);
+}
+exists (P0:r0=1 /\ P1:r0=1 /\ P2:r0=0)
+"#;
+
+    #[test]
+    fn shape_ids_ignore_values_but_not_control_flow() {
+        let cfg = SimConfig::default();
+        // MP's reader forks on both loads' values: four traces, one shape.
+        let mp = interpret_all_traces(&parse_c11(MP).unwrap(), &cfg).unwrap();
+        assert_eq!(mp[1].len(), 4);
+        assert_eq!(shape_ids(&mp[1]), vec![0; 4]);
+        // A branch on a read value changes the event list: two shapes;
+        // P2's fork on a read value alone does not.
+        let isa2 = interpret_all_traces(&parse_c11(ISA2_CTRL).unwrap(), &cfg).unwrap();
+        assert_eq!(shape_ids(&isa2[0]), vec![0, 1]);
+        assert_eq!(shape_ids(&isa2[1]), vec![0, 1]);
+        assert_eq!(shape_ids(&isa2[2]), vec![0, 0]);
+    }
+
+    /// Simulates `src` at `threads` under a counting wrapper of `model`,
+    /// checks the result against the reference oracle, and returns the
+    /// number of sessions opened.
+    fn sessions_opened<M: ConsistencyModel>(src: &str, model: M, threads: usize) -> usize {
+        let test = parse_c11(src).unwrap();
+        let model = CountingModel::new(model);
+        let cfg = SimConfig::default().with_threads(threads);
+        let new = simulate(&test, &model, &cfg).unwrap();
+        let opened = model.opened();
+        let old = simulate_reference(&test, &model.inner, &cfg).unwrap();
+        let tag = format!("{} under {} threads={threads}", test.name, model.name());
+        assert_eq!(new.outcomes, old.outcomes, "{tag}");
+        assert_eq!(new.candidates, old.candidates, "{tag}");
+        assert_eq!(new.allowed, old.allowed, "{tag}");
+        assert_eq!(new.flags, old.flags, "{tag}");
+        assert_eq!(new.crashed, old.crashed, "{tag}");
+        opened
+    }
+
+    #[test]
+    fn value_only_combos_share_one_session() {
+        // MP's four combos differ only in the values P1 reads, so one
+        // session serves them all.
+        let combos: usize = interpret_all_traces(&parse_c11(MP).unwrap(), &SimConfig::default())
+            .unwrap()
+            .iter()
+            .map(Vec::len)
+            .product();
+        assert_eq!(combos, 4);
+        assert_eq!(sessions_opened(MP, AllowAll, 1), 1);
+        assert_eq!(sessions_opened(MP, SeqCstRef, 1), 1);
+        assert_eq!(sessions_opened(MP, CoherenceOnly, 1), 1);
+    }
+
+    #[test]
+    fn alternating_skeletons_each_keep_their_session() {
+        // ISA2_CTRL's combos cycle through 2 × 2 skeletons (thread 0 varies
+        // fastest), so sessions are looked up by key rather than kept for
+        // the latest combo only. At threads = 1 exactly one is opened per
+        // skeleton with a justifiable combo: three, since P1's taken
+        // branch reads y = 1, which only P0's taken branch writes.
+        let traces =
+            interpret_all_traces(&parse_c11(ISA2_CTRL).unwrap(), &SimConfig::default()).unwrap();
+        let skeletons: usize = traces
+            .iter()
+            .map(|t| shape_ids(t).into_iter().collect::<BTreeSet<_>>().len())
+            .product();
+        let combos: usize = traces.iter().map(Vec::len).product();
+        assert_eq!(skeletons, 4);
+        assert!(combos > skeletons, "{combos} combos");
+        for threads in [1, 2] {
+            for opened in [
+                sessions_opened(ISA2_CTRL, SeqCstRef, threads),
+                sessions_opened(ISA2_CTRL, CoherenceOnly, threads),
+            ] {
+                assert!((1..=skeletons * threads).contains(&opened), "{opened}");
+                if threads == 1 {
+                    assert_eq!(opened, 3);
+                }
             }
         }
     }

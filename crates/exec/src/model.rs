@@ -93,7 +93,7 @@ pub trait ConsistencyModel: Send + Sync {
         PartialVerdict::Undecided
     }
 
-    /// Opens a per-combo checking session.
+    /// Opens a checking session for a combo's skeleton.
     ///
     /// `skeleton` is the combo's candidate with the *fixed* relations
     /// populated (events, `po`, `rmw`, `addr`, `data`, `ctrl`) and
@@ -104,6 +104,28 @@ pub trait ConsistencyModel: Send + Sync {
     /// per candidate. The default session simply forwards to
     /// [`check`]/[`check_partial`].
     ///
+    /// # Contract: sessions belong to the value-free skeleton
+    ///
+    /// The enumerator opens one session per *value-free skeleton* and
+    /// reuses it for every combo that shares it — combos that differ only
+    /// in the values their events read or write. Two rules make that
+    /// invisible:
+    ///
+    /// * This method may read only the value-free part of `skeleton`:
+    ///   each event's id, thread, po index, kind, location and
+    ///   annotations, and the `po`/`rmw`/`addr`/`data`/`ctrl` relations.
+    ///   Event values and `outcome` belong to the combo it was opened
+    ///   for, not to the session. (Per-candidate calls receive the
+    ///   current combo's execution and may read all of it.)
+    /// * A session whose pushes have all been popped must answer every
+    ///   call exactly as a freshly opened session would.
+    ///
+    /// Every in-tree model satisfies both: the Cat models' skeleton
+    /// environment reads kinds, locations, annotations and the fixed
+    /// relations only, and the built-in sessions read `po` (and `rmw`)
+    /// and restore every mirror on pop. A session that has
+    /// [`absorb`](ComboChecker::absorb)ed a prefix is never reused.
+    ///
     /// [`check`]: ConsistencyModel::check
     /// [`check_partial`]: ConsistencyModel::check_partial
     fn combo_checker<'a>(&'a self, _skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
@@ -111,11 +133,12 @@ pub trait ConsistencyModel: Send + Sync {
     }
 }
 
-/// A per-combo checking session (see [`ConsistencyModel::combo_checker`]).
+/// A per-skeleton checking session (see [`ConsistencyModel::combo_checker`]).
 ///
-/// The enumeration engine creates one per trace combination and funnels
-/// every full and partial candidate of that combo through it, so
-/// implementations can hold combo-constant derived data.
+/// The enumeration engine opens one per value-free skeleton and funnels
+/// every full and partial candidate of each combo with that skeleton
+/// through it, one combo after another, so implementations can hold
+/// combo-constant derived data.
 ///
 /// # Incremental sessions
 ///
