@@ -269,11 +269,11 @@ fn main() -> Result<()> {
         std::hint::black_box(simulate(&target, &aarch64, &capped).is_err());
         obs_off_ms = obs_off_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
-        telechat::obs::begin();
+        let recorder = telechat::obs::Recorder::begin();
         let t0 = Instant::now();
         std::hint::black_box(simulate(&target, &aarch64, &capped).is_err());
         obs_on_ms = obs_on_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        telechat::obs::finish();
+        recorder.finish();
     }
     let obs_overhead_pct = (obs_on_ms / obs_off_ms - 1.0) * 100.0;
     println!(

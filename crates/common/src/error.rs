@@ -50,9 +50,9 @@ pub enum Error {
     /// instead of killing the whole campaign.
     Panicked(String),
     /// A campaign work item exceeded its wall-clock deadline
-    /// (`SimConfig::deadline`) — distinct from [`Error::Timeout`], which is
-    /// the *simulator's own* cooperative budget check: the deadline also
-    /// catches legs stalled outside the enumerator (I/O, injected stalls).
+    /// (`SimConfig::deadline`) — distinct from [`Error::Timeout`], the
+    /// budget of one simulation: the deadline spans the whole item, checked
+    /// at the same cooperative checkpoints.
     Deadline {
         /// The configured limit, in milliseconds.
         limit_ms: u64,
@@ -69,8 +69,8 @@ pub enum Error {
     /// exactly-once guarantee.
     Journal(String),
     /// A campaign work item kept faulting through every supervised attempt
-    /// its `RetryPolicy` allowed: the transient retries are exhausted and
-    /// the item escalates to a typed permanent failure. Like the faults it
+    /// its `EngineFaults` plan allowed: the transient retries are exhausted
+    /// and the item escalates to a typed permanent failure. Like the faults it
     /// wraps, it is never cached or persisted — a resumed campaign retries
     /// the item from scratch.
     RetriesExhausted {

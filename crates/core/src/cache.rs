@@ -42,12 +42,15 @@
 //! exhaustion) — so a campaign with the cache on is byte-identical in
 //! cells, positive list and accounting to the uncached driver (pinned by
 //! `tests/campaign_cache.rs`). Only wall-clock fields (`SimResult::elapsed`)
-//! reflect the original computation rather than the replay.
+//! reflect the original computation rather than the replay. A leg cut
+//! short by its work item's deadline is never cached: the next claimant
+//! recomputes it.
 
-use crate::fault::{self, FaultLeg};
+use crate::fault::FaultLeg;
 use crate::l2c::{self, PreparedSource};
 use crate::mcompare::SourceObservables;
 use crate::persist::{LegKind, PersistKey, PersistStore, StoredSim, StoredValue};
+use crate::pipeline::LegRun;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -55,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use telechat_cat::CatModel;
 use telechat_common::{Error, Result};
-use telechat_exec::{simulate, SimConfig, SimResult};
+use telechat_exec::{SimConfig, SimResult};
 use telechat_litmus::{fingerprint::fnv1a64, LitmusTest};
 
 /// Locks a mutex, tolerating poison. Every guarded region in this module
@@ -138,7 +141,7 @@ impl Gate {
 
     /// Blocks the calling thread until the gate resolves; the caller then
     /// claims again.
-    fn wait(&self) {
+    pub(crate) fn wait(&self) {
         telechat_obs::add(telechat_obs::Counter::CacheGateWaits, 1);
         let _span = telechat_obs::span("gate-wait");
         let mut parked = lock_unpoisoned(&self.parked);
@@ -185,15 +188,25 @@ impl<K: Hash + Eq + Clone, V: Clone> Drop for Lease<'_, K, V> {
     }
 }
 
+/// Whether a computed leg may be cached: not a fault-class error (a leg cut
+/// short by its item's deadline). The gate of an uncached leg resolves as
+/// if the compute had panicked, and every waiter claims again.
+fn durable<T>(leg: &Result<T>) -> bool {
+    !leg.as_ref().is_err_and(Error::is_fault)
+}
+
 /// A sharded lock-striped map with exactly-once in-flight computation.
 struct Striped<K, V> {
     shards: Vec<Mutex<HashMap<K, Slot<V>>>>,
+    /// Whether a computed value may be published (see [`durable`]).
+    keep: fn(&V) -> bool,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Striped<K, V> {
-    fn new() -> Striped<K, V> {
+    fn new(keep: fn(&V) -> bool) -> Striped<K, V> {
         Striped {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            keep,
         }
     }
 
@@ -208,7 +221,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Striped<K, V> {
     /// * **ready** — a finished entry: `Ok((value, true))`, a hit;
     /// * **you compute** — no entry yet: this caller runs `compute`
     ///   (outside the shard lock, so unrelated keys never serialise behind
-    ///   a long simulation) and publishes it: `Ok((value, false))`, a miss;
+    ///   a long simulation) and publishes it: `Ok((value, false))`, a miss.
+    ///   A value `keep` rejects is returned the same way but frees the key
+    ///   instead;
     /// * **in flight** — another claimant is computing it: `Err(gate)`, to
     ///   park on or wait for. `compute` is not run.
     ///
@@ -252,7 +267,13 @@ impl<K: Hash + Eq + Clone, V: Clone> Striped<K, V> {
             gate,
             published: false,
         };
-        Ok((lease.publish(compute()), false))
+        let v = compute();
+        if (self.keep)(&v) {
+            Ok((lease.publish(v), false))
+        } else {
+            drop(lease);
+            Ok((v, false))
+        }
     }
 
     /// The blocking lookup: claim, and while another claimant has the key
@@ -441,9 +462,9 @@ impl SimCache {
     /// An empty cache.
     pub fn new() -> SimCache {
         SimCache {
-            prepared: Striped::new(),
-            source: Striped::new(),
-            target: Striped::new(),
+            prepared: Striped::new(|_| true),
+            source: Striped::new(durable),
+            target: Striped::new(durable),
             store: None,
             prepare_hits: AtomicU64::new(0),
             prepare_misses: AtomicU64::new(0),
@@ -571,9 +592,20 @@ impl SimCache {
         model: &CatModel,
         config: &SimConfig,
     ) -> Result<SourceLeg> {
+        self.source_leg_in(prepared, model, config, LegRun::default())
+    }
+
+    /// [`SimCache::source_leg`] for a work item's [`LegRun`].
+    pub(crate) fn source_leg_in(
+        &self,
+        prepared: &PreparedSource,
+        model: &CatModel,
+        config: &SimConfig,
+        legs: LegRun<'_>,
+    ) -> Result<SourceLeg> {
         let key = self.source_key(prepared, model, config);
         let (v, hit) = self.source.get_or_compute(key.clone(), || {
-            self.compute_source(&key, prepared, model, config)
+            self.compute_source(&key, prepared, model, config, legs)
         });
         self.count(&self.source_hits, &self.source_misses, hit);
         v
@@ -590,13 +622,14 @@ impl SimCache {
         model: &CatModel,
         config: &SimConfig,
         waker: Waker,
+        legs: LegRun<'_>,
     ) {
         let key = self.source_key(prepared, model, config);
         let hit = self
             .source
             .claim(
                 key.clone(),
-                || self.compute_source(&key, prepared, model, config),
+                || self.compute_source(&key, prepared, model, config, legs),
                 Some(waker),
             )
             .map_or(true, |(_, hit)| hit);
@@ -609,6 +642,7 @@ impl SimCache {
         prepared: &PreparedSource,
         model: &CatModel,
         config: &SimConfig,
+        legs: LegRun<'_>,
     ) -> Result<SourceLeg> {
         let store = self.store_key(LegKind::Source, key.test, model, key.config);
         if let Some((store, pkey)) = &store {
@@ -617,8 +651,7 @@ impl SimCache {
                 return stored.map(|sim| SourceLeg::of(sim.into_result()));
             }
         }
-        fault::fire(FaultLeg::Source, &prepared.test.name);
-        let computed = simulate(&prepared.test, model, config);
+        let computed = legs.simulate(FaultLeg::Source, &prepared.test, model, config);
         if let Some((store, pkey)) = store {
             self.persist(&store, pkey, &computed);
         }
@@ -649,7 +682,7 @@ impl SimCache {
     ) -> Result<Arc<SimResult>> {
         let key = self.target_key(target, model, config);
         let (v, hit) = self.target.get_or_compute(key.clone(), || {
-            self.compute_target(&key, target, model, config)
+            self.compute_target(&key, target, model, config, LegRun::default())
         });
         self.count(&self.target_hits, &self.target_misses, hit);
         v
@@ -665,11 +698,12 @@ impl SimCache {
         target: &LitmusTest,
         model: &CatModel,
         config: &SimConfig,
+        legs: LegRun<'_>,
     ) -> std::result::Result<Result<Arc<SimResult>>, Arc<Gate>> {
         let key = self.target_key(target, model, config);
         let (v, hit) = self.target.claim(
             key.clone(),
-            || self.compute_target(&key, target, model, config),
+            || self.compute_target(&key, target, model, config, legs),
             None,
         )?;
         self.count(&self.target_hits, &self.target_misses, hit);
@@ -682,6 +716,7 @@ impl SimCache {
         target: &LitmusTest,
         model: &CatModel,
         config: &SimConfig,
+        legs: LegRun<'_>,
     ) -> Result<Arc<SimResult>> {
         let store = self.store_key(LegKind::Target, key.test, model, key.config);
         if let Some((store, pkey)) = &store {
@@ -690,8 +725,7 @@ impl SimCache {
                 return stored.map(|sim| Arc::new(sim.into_result()));
             }
         }
-        fault::fire(FaultLeg::Target, &target.name);
-        let computed = simulate(target, model, config);
+        let computed = legs.simulate(FaultLeg::Target, target, model, config);
         if let Some((store, pkey)) = store {
             self.persist(&store, pkey, &computed);
         }
@@ -730,7 +764,7 @@ exists (P0:r0=0 /\ P1:r0=0)
 
     #[test]
     fn striped_computes_each_key_once() {
-        let map: Striped<u64, u64> = Striped::new();
+        let map: Striped<u64, u64> = Striped::new(|_| true);
         let computes = AtomicUsize::new(0);
         let compute = |k: u64| {
             computes.fetch_add(1, Ordering::SeqCst);
@@ -744,7 +778,7 @@ exists (P0:r0=0 /\ P1:r0=0)
 
     #[test]
     fn striped_concurrent_requesters_share_one_compute() {
-        let map: Arc<Striped<u64, u64>> = Arc::new(Striped::new());
+        let map: Arc<Striped<u64, u64>> = Arc::new(Striped::new(|_| true));
         let computes = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -769,7 +803,7 @@ exists (P0:r0=0 /\ P1:r0=0)
 
     #[test]
     fn striped_panicking_compute_poisons_and_retries() {
-        let map: Arc<Striped<u64, u64>> = Arc::new(Striped::new());
+        let map: Arc<Striped<u64, u64>> = Arc::new(Striped::new(|_| true));
         // First computer panics after a waiter has latched onto its gate.
         let computer = {
             let map = map.clone();
@@ -800,7 +834,7 @@ exists (P0:r0=0 /\ P1:r0=0)
 
     #[test]
     fn claim_parks_on_an_in_flight_key_until_it_publishes() {
-        let map: Striped<u64, u64> = Striped::new();
+        let map: Striped<u64, u64> = Striped::new(|_| true);
         let handed_back = Arc::new(AtomicUsize::new(0));
         // A claim made while the key computes finds it in flight (the
         // compute closure itself is "another worker" here, so the
@@ -827,7 +861,7 @@ exists (P0:r0=0 /\ P1:r0=0)
 
     #[test]
     fn a_waker_parked_by_the_computing_claim_returns_exactly_once() {
-        let map: Striped<u64, u64> = Striped::new();
+        let map: Striped<u64, u64> = Striped::new(|_| true);
         let handed_back = Arc::new(AtomicUsize::new(0));
         let claimed = map.claim(
             8,
@@ -843,7 +877,7 @@ exists (P0:r0=0 /\ P1:r0=0)
 
     #[test]
     fn a_poisoned_gate_hands_back_its_parked_wakers_and_frees_the_key() {
-        let map: Striped<u64, u64> = Striped::new();
+        let map: Striped<u64, u64> = Striped::new(|_| true);
         let handed_back = Arc::new(AtomicUsize::new(0));
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             map.claim(
@@ -860,6 +894,31 @@ exists (P0:r0=0 /\ P1:r0=0)
         assert_eq!(handed_back.load(Ordering::SeqCst), 2, "both parked wakers came back");
         // The poisoned slot is gone: the next claimant computes.
         assert_eq!(map.claim(3, || 33, None).ok(), Some((33, false)));
+    }
+
+    #[test]
+    fn a_fault_class_value_answers_its_computer_but_is_never_published() {
+        let map: Striped<u64, Result<u64>> = Striped::new(durable);
+        let handed_back = Arc::new(AtomicUsize::new(0));
+        let cut = Error::Deadline { limit_ms: 300 };
+        let claimed = map.claim(
+            4,
+            || {
+                let gate = map.claim(4, || unreachable!("in flight"), None).unwrap_err();
+                gate.park(counting_waker(&handed_back));
+                Err(cut.clone())
+            },
+            None,
+        );
+        assert_eq!(claimed.ok(), Some((Err(cut), false)));
+        assert_eq!(handed_back.load(Ordering::SeqCst), 1, "the waiter is handed back");
+        // Nothing was cached: the next claimant computes the real value.
+        assert_eq!(map.claim(4, || Ok(44), None).ok(), Some((Ok(44), false)));
+        assert_eq!(map.claim(4, || Ok(0), None).ok(), Some((Ok(44), true)));
+        // A deterministic error is a value like any other.
+        let starved = Error::Budget { steps: 1 };
+        assert_eq!(map.get_or_compute(5, || Err(starved.clone())), (Err(starved.clone()), false));
+        assert_eq!(map.get_or_compute(5, || Ok(0)), (Err(starved), true));
     }
 
     #[test]

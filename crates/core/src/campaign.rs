@@ -8,18 +8,19 @@
 //! can consume an unbounded generator without materialising it first.
 
 use crate::cache::{lock_unpoisoned, CacheStats, Gate, SimCache, Waker};
-use crate::fault::{self, RetryPolicy};
+use crate::fault::EngineFaults;
 use crate::journal::{CampaignJournal, ItemKey, ItemOutcome, ItemRecord, JournalStats, ShardSpec};
 use crate::persist::PersistStore;
-use crate::pipeline::{Continuation, PipelineConfig, Telechat, TestReport, TestVerdict};
+use crate::pipeline::{Continuation, LegRun, PipelineConfig, Telechat, TestReport, TestVerdict};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 use telechat_common::{Arch, Error, Result};
 use telechat_compiler::{Compiler, CompilerFamily, CompilerId, OptLevel, Target};
+use telechat_exec::Deadline;
 use telechat_litmus::LitmusTest;
+use telechat_obs::Recorder;
 
 /// A streaming supplier of litmus tests for a campaign.
 ///
@@ -84,11 +85,14 @@ pub struct CampaignSpec {
     pub store: Option<Arc<PersistStore>>,
     /// Collect telemetry ([`telechat_obs`]): a span trace of the whole
     /// campaign plus the unified metrics registry, snapshotted into
-    /// [`CampaignResult::obs`]. Off (the default) is a true no-op — one
-    /// relaxed flag load per instrumentation point — and never changes
-    /// results either way; the deterministic (`count`-class) metric totals
-    /// are themselves byte-identical across worker counts, cache on/off
-    /// and store warm/cold.
+    /// [`CampaignResult::obs`]. It records into the calling thread's open
+    /// [`Recorder`] window (so a caller can watch it live) or else its own,
+    /// never another campaign's, and closes the window when it returns.
+    /// Off (the default) is a true no-op — one thread-local check per
+    /// instrumentation point — and never changes results either way; the
+    /// deterministic (`count`-class) metric totals are themselves
+    /// byte-identical across worker counts, cache on/off and store
+    /// warm/cold.
     pub metrics: bool,
     /// Optional work-item completion journal ([`crate::journal`]): every
     /// finished `(test, profile)` item is logged, completed items replay
@@ -105,16 +109,16 @@ pub struct CampaignSpec {
     /// `compiled_tests`) still describe the full stream — cells hold only
     /// this shard's items.
     pub shard: Option<ShardSpec>,
-    /// Supervised execution for fault-class work-item failures that are
-    /// provably transient ([`fault::take_transient`]): attempts, backoff
-    /// and escalation. The default keeps the historical retry-once,
-    /// no-backoff behaviour.
-    pub retry: RetryPolicy,
+    /// Injected engine faults (failure-isolation tests only; `None` in
+    /// production): the plan every simulation leg of this campaign
+    /// consults, and the supervised-retry schedule for work items whose
+    /// failure it marks transient ([`EngineFaults::take_transient`]).
+    pub faults: Option<EngineFaults>,
 }
 
 impl Default for CampaignSpec {
     /// An empty sweep with the production defaults: sharing layer on, no
-    /// store/journal/shard, single worker, retry-once supervision.
+    /// store/journal/shard, single worker, no injected faults.
     fn default() -> CampaignSpec {
         CampaignSpec {
             compilers: Vec::new(),
@@ -127,7 +131,7 @@ impl Default for CampaignSpec {
             metrics: false,
             journal: None,
             shard: None,
-            retry: RetryPolicy::default(),
+            faults: None,
         }
     }
 }
@@ -444,9 +448,10 @@ pub fn run_campaign(
 /// hand-backs tells an idle worker whether to wait or exit: workers that
 /// find the source dry wait while items are parked, so the tail of a
 /// campaign — and a few-tests × many-profiles sweep — stays parallel. With
-/// a [`telechat_exec::SimConfig::deadline`], a parked item waits at most
-/// that long for its leg, then fails as [`Error::Deadline`] — a leg whose
-/// computation was abandoned by the watchdog never strands its waiters.
+/// a [`telechat_exec::SimConfig::deadline`], a leg's computation is cut
+/// short at its own item's deadline — it is never cached, and its gate
+/// hands the parked items back to recompute it — and an item resumed past
+/// its own deadline fails as [`Error::Deadline`].
 ///
 /// The result is byte-identical for every worker count and for cache
 /// on/off: tests are pulled from the source in a fixed order, cells
@@ -468,7 +473,7 @@ pub fn run_campaign_source(
     if spec.threads > 1 {
         config.sim.threads = 1;
     }
-    let deadline = config.sim.deadline;
+    let limit = config.sim.deadline;
     // Shard/journal sanity before any telemetry or model loading: a journal
     // opened for a different shard must never replay into this campaign.
     let shard = spec.shard.unwrap_or_else(ShardSpec::whole);
@@ -483,11 +488,9 @@ pub fn run_campaign_source(
             )));
         }
     }
-    // Arm telemetry before anything that loads models or probes the store,
-    // so the whole campaign lands inside the window.
-    if spec.metrics {
-        telechat_obs::begin();
-    }
+    // Open telemetry before anything that loads models or probes the
+    // store, so the whole campaign lands inside the window.
+    let recorder = spec.metrics.then(|| Recorder::active().unwrap_or_else(Recorder::begin));
     let cache = (spec.cache || spec.store.is_some()).then(|| {
         let mut cache = SimCache::new();
         if let Some(store) = &spec.store {
@@ -499,11 +502,9 @@ pub fn run_campaign_source(
         let tool = match Telechat::with_config(&spec.source_model, config) {
             Ok(tool) => tool,
             Err(e) => {
-                // Disarm on the configuration-error path, or the window
-                // would leak into the caller's next campaign.
-                if spec.metrics {
-                    let _ = telechat_obs::finish();
-                }
+                // Close the window on the configuration-error path, or it
+                // would stay open on the caller's thread.
+                recorder.map(Recorder::finish);
                 return Err(e);
             }
         };
@@ -512,6 +513,7 @@ pub fn run_campaign_source(
             None => tool,
         }
     };
+    let faults = spec.faults.as_ref();
 
     // Applicable compiler profiles; each test runs under all of them. The
     // per-profile identity (name fingerprint = journal key half + shard
@@ -526,11 +528,10 @@ pub fn run_campaign_source(
     // to run. Return before touching the source — draining it would spin
     // forever on an unbounded generator.
     if profiles.is_empty() {
-        let mut empty = CampaignResult::default();
-        if spec.metrics {
-            empty.obs = Some(telechat_obs::finish());
-        }
-        return Ok(empty);
+        return Ok(CampaignResult {
+            obs: recorder.map(Recorder::finish),
+            ..CampaignResult::default()
+        });
     }
 
     let result = Mutex::new(CampaignResult::default());
@@ -549,7 +550,6 @@ pub fn run_campaign_source(
             items: VecDeque::new(),
             resumes: (0..workers).map(|_| VecDeque::new()).collect(),
             outstanding: 0,
-            expiries: Vec::new(),
         }),
         idle: Condvar::new(),
     });
@@ -563,7 +563,7 @@ pub fn run_campaign_source(
         for _ in 0..workers {
             scope.spawn(|| {
                 let me = next_worker.fetch_add(1, Ordering::Relaxed);
-                let _trace = telechat_obs::adopt(root_ref);
+                let _trace = telechat_obs::adopt(root_ref.clone());
                 loop {
                     let work = {
                         let mut q = lock_unpoisoned(&frontier.queue);
@@ -645,28 +645,14 @@ pub fn run_campaign_source(
                                 // Source dry: take over another worker's
                                 // resumes rather than idle. Finished only once
                                 // every parked item has been handed back;
-                                // until then wait for a hand-back (or a
-                                // parked item's deadline) to refill a queue.
+                                // until then wait for a hand-back to refill
+                                // a queue.
                                 None if q.resumes.iter().any(|r| !r.is_empty()) => {
                                     break q.resumes.iter_mut().find_map(|r| r.pop_front());
                                 }
                                 None if q.outstanding == 0 => break None,
                                 None => {
-                                    q = match q.expiries.iter().map(|(at, _)| *at).min() {
-                                        Some(at) => {
-                                            let timeout =
-                                                at.saturating_duration_since(Instant::now());
-                                            frontier
-                                                .idle
-                                                .wait_timeout(q, timeout)
-                                                .unwrap_or_else(|e| e.into_inner())
-                                                .0
-                                        }
-                                        None => {
-                                            frontier.idle.wait(q).unwrap_or_else(|e| e.into_inner())
-                                        }
-                                    };
-                                    q.expire(Instant::now());
+                                    q = frontier.idle.wait(q).unwrap_or_else(|e| e.into_inner());
                                 }
                             }
                         }
@@ -678,60 +664,59 @@ pub fn run_campaign_source(
                         mut attempts,
                         parks,
                         span,
-                        mut stage,
+                        deadline,
+                        followers,
+                        mut resume,
                     }) = work
                     else {
                         return;
                     };
-                    // A fresh item opens its `work-item` span; a resumed one
-                    // re-enters the span it parked under.
-                    let fresh = matches!(stage, Stage::Start(_));
+                    // A fresh item opens its `work-item` span and starts
+                    // its deadline; a resumed one re-enters the span it
+                    // parked under, still owing the deadline it started.
+                    let fresh = resume.is_none();
+                    let mut deadline = if fresh { limit.map(Deadline::after) } else { deadline };
                     let _item_span = fresh.then(|| {
                         telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
                         telechat_obs::span_with("work-item", || {
                             format!("{}:{}", test.name, profiles[p].profile_name())
                         })
                     });
-                    let _resumed = telechat_obs::adopt(if fresh { None } else { span });
                     let span = if fresh { telechat_obs::current() } else { span };
-                    if let Stage::Start(followers) = &mut stage {
-                        if !followers.is_empty() {
-                            // Park the followers on the test's source-leg
-                            // gate while this worker populates the shared
-                            // prepare + source-leg entries: they come back
-                            // at the front of the frontier, cache-hot, as
-                            // soon as the leg is ready — before this lead's
-                            // own compile/extract/target work, so their
-                            // compiles overlap the lead's. A simulation
-                            // error is cached too and replays identically
-                            // for every item, so it is ignored here. Panics
-                            // are contained: the gate poisons and hands the
-                            // followers back, and the retry happens in the
-                            // item run below.
-                            let followers = followers
-                                .drain(..)
-                                .map(|f| Work::start(test.clone(), f, Vec::new()))
-                                .collect();
-                            let waker = frontier.park(followers, None);
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                tool.warm_source(&test, waker)
-                            }));
-                        }
+                    let _resumed = telechat_obs::adopt(if fresh { None } else { span.clone() });
+                    if !followers.is_empty() {
+                        // Park the followers on the test's source-leg gate
+                        // while this worker populates the shared prepare +
+                        // source-leg entries: they come back at the front
+                        // of the frontier, cache-hot, as soon as the leg is
+                        // ready — before this lead's own compile/extract/
+                        // target work, so their compiles overlap the lead's.
+                        // A simulation error is cached too and replays
+                        // identically for every item, so it is ignored
+                        // here. Panics (and deadline cuts) are contained:
+                        // the gate poisons and hands the followers back, and
+                        // the retry happens in the item run below.
+                        let followers = followers
+                            .into_iter()
+                            .map(|f| Work::start(test.clone(), f, Vec::new()))
+                            .collect();
+                        let waker = frontier.park(followers);
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            tool.warm_source(&test, waker, LegRun { faults, deadline })
+                        }));
                     }
                     let compiler = &profiles[p];
                     let key = (compiler.target.arch, compiler.id.family, compiler.opt);
                     let outcome = loop {
-                        let step = match stage {
-                            Stage::Start(_) => {
-                                run_isolated(&tool, &test, compiler, None, parks, deadline)
-                            }
-                            Stage::Resume(c) => {
-                                run_isolated(&tool, &test, compiler, Some(c), parks, deadline)
-                            }
-                            Stage::Expired => {
-                                Step::Done(Err(deadline_error(deadline.unwrap_or_default())))
-                            }
-                        };
+                        // The failure-isolation boundary: a panic anywhere
+                        // in the pipeline becomes a typed error cell.
+                        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let legs = LegRun { faults, deadline };
+                            advance(&tool, &test, compiler, resume.take(), parks, legs)
+                        }))
+                        .unwrap_or_else(|panic| {
+                            Step::Done(Err(Error::Panicked(panic_message(panic.as_ref()))))
+                        });
                         let outcome = match step {
                             Step::Done(outcome) => outcome,
                             Step::Parked(gate, c) => {
@@ -739,8 +724,7 @@ pub fn run_campaign_source(
                                 // worker: park the continuation on its gate
                                 // and pull other work. It comes back to the
                                 // front of this worker's frontier when the
-                                // gate publishes or poisons — or, with a
-                                // deadline, fails once parked past it.
+                                // gate publishes or poisons.
                                 telechat_obs::add(telechat_obs::Counter::CampaignParked, 1);
                                 let work = Work {
                                     home: Some(me),
@@ -749,10 +733,11 @@ pub fn run_campaign_source(
                                     attempts,
                                     parks: parks + 1,
                                     span,
-                                    stage: Stage::Resume(Box::new(c)),
+                                    deadline,
+                                    followers: Vec::new(),
+                                    resume: Some(Box::new(c)),
                                 };
-                                let expires = deadline.map(|limit| Instant::now() + limit);
-                                gate.park(frontier.park(vec![work], expires));
+                                gate.park(frontier.park(vec![work]));
                                 break None;
                             }
                         };
@@ -763,19 +748,21 @@ pub fn run_campaign_source(
                         // transient marker once the policy's attempts are
                         // exhausted escalates to the typed permanent failure
                         // — a counted error cell, never an unbounded retry
-                        // loop.
-                        if !(outcome.as_ref().is_err_and(Error::is_fault)
-                            && fault::take_transient(&test.name))
-                        {
+                        // loop. A retry is a new attempt with a new deadline.
+                        let retry = faults.filter(|faults| {
+                            outcome.as_ref().is_err_and(Error::is_fault)
+                                && faults.take_transient(&test.name)
+                        });
+                        let Some(faults) = retry else {
                             break Some(outcome);
-                        }
-                        if attempts >= spec.retry.max_attempts {
+                        };
+                        if attempts >= faults.max_attempts {
                             break Some(Err(Error::RetriesExhausted { attempts }));
                         }
                         telechat_obs::add(telechat_obs::Counter::CampaignRetries, 1);
-                        spec.retry.pause(attempts);
+                        faults.pause(attempts);
                         attempts += 1;
-                        stage = Stage::Start(Vec::new());
+                        deadline = limit.map(Deadline::after);
                     };
                     let Some(outcome) = outcome else {
                         continue;
@@ -855,8 +842,8 @@ pub fn run_campaign_source(
     if spec.metrics {
         let seen = outcome_sets.into_inner().unwrap_or_else(|e| e.into_inner());
         telechat_obs::add_labelled("coverage.source_outcome_sets", seen.len() as u64);
-        result.obs = Some(telechat_obs::finish());
     }
+    result.obs = recorder.map(Recorder::finish);
     Ok(result)
 }
 
@@ -895,7 +882,13 @@ struct Work {
     parks: u32,
     /// The item's `work-item` span, re-entered when it resumes.
     span: Option<telechat_obs::SpanRef>,
-    stage: Stage,
+    /// The deadline the item started with, owed again when it resumes.
+    deadline: Option<Deadline>,
+    /// A lead item's followers: the test's other profiles.
+    followers: Vec<usize>,
+    /// The continuation of an item parked on an in-flight target leg
+    /// after the first half of the pipeline; `None` before it starts.
+    resume: Option<Box<Continuation>>,
 }
 
 impl Work {
@@ -907,20 +900,11 @@ impl Work {
             attempts: 1,
             parks: 0,
             span: None,
-            stage: Stage::Start(followers),
+            deadline: None,
+            followers,
+            resume: None,
         }
     }
-}
-
-/// Where a work item stands.
-enum Stage {
-    /// Not started. A lead item carries its followers' profile indices.
-    Start(Vec<usize>),
-    /// Parked on an in-flight target leg after the first half of the
-    /// pipeline; resumes with the target leg.
-    Resume(Box<Continuation>),
-    /// Parked longer than the deadline: fails as [`Error::Deadline`].
-    Expired,
 }
 
 /// The campaign frontier, shared with the wakers parked on cache gates.
@@ -929,10 +913,6 @@ struct Frontier {
     /// Signalled whenever parked work is handed back.
     idle: Condvar,
 }
-
-/// A group of work items parked together; emptied by whichever of its
-/// waker and its deadline comes first.
-type Parked = Arc<Mutex<Vec<Work>>>;
 
 struct Queue {
     /// New items, and lead items' followers handed back, at the front.
@@ -949,33 +929,19 @@ struct Queue {
     /// releases. While it is non-zero, an empty queue with a dry source
     /// does **not** mean the campaign is done, so idle workers wait.
     outstanding: usize,
-    /// When each parked continuation's deadline runs out (deadline
-    /// campaigns only).
-    expiries: Vec<(Instant, Parked)>,
 }
 
 impl Frontier {
     /// Parks `works` as one group and returns the waker that hands them
     /// back, in order, to the *front* of the queue (or of their worker's
     /// resumes), where they run while the entry they waited for is
-    /// cache-hot. With `expires`, the group instead fails as
-    /// [`Stage::Expired`] if it is still parked then.
-    fn park(self: &Arc<Self>, works: Vec<Work>, expires: Option<Instant>) -> Waker {
-        let parked: Parked = Arc::new(Mutex::new(works));
-        {
-            let mut q = lock_unpoisoned(&self.queue);
-            q.outstanding += 1;
-            if let Some(at) = expires {
-                q.expiries.push((at, parked.clone()));
-            }
-        }
+    /// cache-hot.
+    fn park(self: &Arc<Self>, works: Vec<Work>) -> Waker {
+        lock_unpoisoned(&self.queue).outstanding += 1;
         let frontier = self.clone();
         Waker::new(move || {
-            let works = std::mem::take(&mut *lock_unpoisoned(&parked));
-            if !works.is_empty() {
-                lock_unpoisoned(&frontier.queue).hand_back(works);
-                frontier.idle.notify_all();
-            }
+            lock_unpoisoned(&frontier.queue).hand_back(works);
+            frontier.idle.notify_all();
         })
     }
 }
@@ -990,26 +956,6 @@ impl Queue {
         }
         self.outstanding -= 1;
     }
-
-    /// Hands back every parked group whose deadline has passed, as
-    /// expired items. A parked item never waits on a leg longer than the
-    /// deadline, even one whose computation was abandoned and never
-    /// publishes.
-    fn expire(&mut self, now: Instant) {
-        let (due, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.expiries)
-            .into_iter()
-            .partition(|(at, _)| *at <= now);
-        self.expiries = live;
-        for (_, parked) in due {
-            let mut works = std::mem::take(&mut *lock_unpoisoned(&parked));
-            if !works.is_empty() {
-                for work in &mut works {
-                    work.stage = Stage::Expired;
-                }
-                self.hand_back(works);
-            }
-        }
-    }
 }
 
 /// One step of a work item.
@@ -1022,83 +968,26 @@ enum Step {
     Parked(Arc<Gate>, Continuation),
 }
 
-/// Runs one step of a work item — from the start, or resuming a parked
-/// continuation — behind the failure-isolation boundary: a panic anywhere
-/// in the pipeline is caught and becomes [`Error::Panicked`], and when a
-/// wall-clock deadline is configured ([`telechat_exec::SimConfig::deadline`])
-/// the step runs on a watchdog thread and is abandoned — as
-/// [`Error::Deadline`] — if it overruns. Either way the rest of the
-/// campaign completes; the faulted item is a typed error cell. An
-/// abandoned step never parks: its answer is dropped with the channel.
-fn run_isolated(
-    tool: &Telechat,
-    test: &Arc<LitmusTest>,
-    compiler: &Compiler,
-    resume: Option<Box<Continuation>>,
-    parks: u32,
-    deadline: Option<Duration>,
-) -> Step {
-    let Some(limit) = deadline else {
-        return catch_step(tool, test, compiler, resume, parks);
-    };
-    let (done, took) = std::sync::mpsc::channel();
-    let watched = {
-        let tool = tool.clone();
-        let test = test.clone();
-        let compiler = *compiler;
-        // The watchdog thread re-parents under the caller's work-item
-        // span, so leg spans stay nested even when the item is watched.
-        let parent = telechat_obs::current();
-        std::thread::spawn(move || {
-            let _trace = telechat_obs::adopt(parent);
-            let _ = done.send(catch_step(&tool, &test, &compiler, resume, parks));
-        })
-    };
-    match took.recv_timeout(limit) {
-        Ok(step) => {
-            let _ = watched.join();
-            step
-        }
-        // Abandon the stalled thread: it holds only `Arc`s and will exit
-        // harmlessly whenever (if ever) the stall clears — in particular
-        // it still publishes its cache gate then, so waiters never hang.
-        Err(_) => Step::Done(Err(deadline_error(limit))),
-    }
-}
-
-fn deadline_error(limit: Duration) -> Error {
-    Error::Deadline {
-        limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
-    }
-}
-
-/// [`advance`] with panics converted to [`Error::Panicked`].
-fn catch_step(
-    tool: &Telechat,
-    test: &LitmusTest,
-    compiler: &Compiler,
-    resume: Option<Box<Continuation>>,
-    parks: u32,
-) -> Step {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        advance(tool, test, compiler, resume, parks)
-    }))
-    .unwrap_or_else(|panic| Step::Done(Err(Error::Panicked(panic_message(panic.as_ref())))))
-}
-
 /// [`Telechat::run`] for a campaign work item, split where it may have to
 /// wait: the first half (or the parked continuation), then the target leg
-/// without blocking, then the second half.
+/// without blocking, then the second half. The item's deadline is
+/// cooperative: checked here at the start of every step (so an item
+/// resumed after parking past it fails) and by the simulation legs at their
+/// checkpoints; an overrun is [`Error::Deadline`].
 fn advance(
     tool: &Telechat,
     test: &LitmusTest,
     compiler: &Compiler,
     resume: Option<Box<Continuation>>,
     parks: u32,
+    legs: LegRun<'_>,
 ) -> Step {
+    if let Some(Err(e)) = legs.deadline.map(|d| d.check()) {
+        return Step::Done(Err(e));
+    }
     let c = match resume {
         Some(c) => *c,
-        None => match tool.begin(test, compiler) {
+        None => match tool.begin(test, compiler, legs) {
             Ok(c) => c,
             Err(e) => return Step::Done(Err(e)),
         },
@@ -1113,7 +1002,7 @@ fn advance(
                 parks.to_string()
             }
         });
-        match tool.try_target_leg(&c) {
+        match tool.try_target_leg(&c, legs) {
             Ok(target) => target,
             Err(gate) => return Step::Parked(gate, c),
         }

@@ -70,7 +70,7 @@ pub use cache::{CacheStats, SimCache, SourceLeg};
 pub use campaign::{
     run_campaign, run_campaign_source, CampaignCell, CampaignResult, CampaignSpec, TestSource,
 };
-pub use fault::RetryPolicy;
+pub use fault::EngineFaults;
 pub use journal::{
     campaign_fingerprint, merge_journals, CampaignJournal, ItemKey, ItemOutcome, ItemRecord,
     JournalStats, ShardSpec,
@@ -87,7 +87,7 @@ pub use telechat_obs as obs;
 pub mod prelude {
     pub use crate::{
         mcompare, prepare, run_campaign, run_campaign_source, CacheStats, CampaignJournal,
-        CampaignResult, CampaignSpec, PersistStore, PipelineConfig, RetryPolicy, ShardSpec,
+        CampaignResult, CampaignSpec, EngineFaults, PersistStore, PipelineConfig, ShardSpec,
         SimCache, StateMapping, Telechat, TestReport, TestSource, TestVerdict,
     };
     pub use telechat_cat::CatModel;

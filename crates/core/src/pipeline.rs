@@ -13,7 +13,7 @@
 //! `Telechat`/run.
 
 use crate::cache::{Gate, SimCache, SourceLeg, Waker};
-use crate::fault::{self, FaultLeg};
+use crate::fault::{EngineFaults, FaultLeg};
 use crate::l2c::{self, PreparedSource};
 use crate::mapping::StateMapping;
 use crate::mcompare::{mcompare_shared, Comparison};
@@ -23,7 +23,7 @@ use std::time::Duration;
 use telechat_cat::{CatModel, ModelRegistry};
 use telechat_common::{Error, OutcomeSet, Result};
 use telechat_compiler::{CompileOutput, Compiler};
-use telechat_exec::{simulate, SimConfig, SimResult};
+use telechat_exec::{simulate_until, Deadline, SimConfig, SimResult};
 use telechat_isa::AsmTest;
 use telechat_litmus::LitmusTest;
 
@@ -175,13 +175,19 @@ impl Telechat {
 
     /// The source leg for an already prepared test: simulation result plus
     /// the profile-invariant comparison half.
-    fn source_leg(&self, prepared: &PreparedSource) -> Result<SourceLeg> {
+    fn source_leg(&self, prepared: &PreparedSource, legs: LegRun<'_>) -> Result<SourceLeg> {
         match &self.cache {
-            Some(cache) => cache.source_leg(prepared, &self.source_model, &self.config.sim),
-            None => {
-                fault::fire(FaultLeg::Source, &prepared.test.name);
-                simulate(&prepared.test, &*self.source_model, &self.config.sim).map(SourceLeg::of)
+            Some(cache) => {
+                cache.source_leg_in(prepared, &self.source_model, &self.config.sim, legs)
             }
+            None => legs
+                .simulate(
+                    FaultLeg::Source,
+                    &prepared.test,
+                    &self.source_model,
+                    &self.config.sim,
+                )
+                .map(SourceLeg::of),
         }
     }
 
@@ -195,29 +201,24 @@ impl Telechat {
         }
     }
 
-    /// The target leg: the compiled test simulated under `model`.
-    fn target_leg(&self, target: &LitmusTest, model: &CatModel) -> Result<Arc<SimResult>> {
-        match &self.cache {
-            Some(cache) => cache.target_leg(target, model, &self.config.sim),
-            None => self.simulate_target(target, model),
-        }
-    }
-
-    fn simulate_target(&self, target: &LitmusTest, model: &CatModel) -> Result<Arc<SimResult>> {
-        fault::fire(FaultLeg::Target, &target.name);
-        Ok(Arc::new(simulate(target, model, &self.config.sim)?))
-    }
-
     /// The target leg of a continuation without blocking: the leg, or
-    /// `Err(gate)` while another campaign worker computes the same leg
-    /// (only possible with a cache attached).
+    /// `Err(gate)` while another claimant computes the same leg (only
+    /// possible with a cache attached).
     pub(crate) fn try_target_leg(
         &self,
         c: &Continuation,
+        legs: LegRun<'_>,
     ) -> std::result::Result<Result<Arc<SimResult>>, Arc<Gate>> {
         match &self.cache {
-            Some(cache) => cache.try_target_leg(&c.target, &c.target_model, &self.config.sim),
-            None => Ok(self.simulate_target(&c.target, &c.target_model)),
+            Some(cache) => cache.try_target_leg(&c.target, &c.target_model, &self.config.sim, legs),
+            None => Ok(legs
+                .simulate(
+                    FaultLeg::Target,
+                    &c.target,
+                    &c.target_model,
+                    &self.config.sim,
+                )
+                .map(Arc::new)),
         }
     }
 
@@ -279,12 +280,17 @@ impl Telechat {
     /// extraction failures. Cached legs replay the original error for
     /// every profile, exactly as the uncached driver fails each one.
     pub fn run(&self, test: &LitmusTest, compiler: &Compiler) -> Result<TestReport> {
-        let c = self.begin(test, compiler)?;
+        let c = self.begin(test, compiler, LegRun::default())?;
         // Step 4: simulate the compiled test under the architecture model
         // (shared across profiles that extracted identical code).
         let target = {
             let _span = telechat_obs::span("target-sim");
-            self.target_leg(&c.target, &c.target_model)?
+            loop {
+                match self.try_target_leg(&c, LegRun::default()) {
+                    Ok(target) => break target?,
+                    Err(gate) => gate.wait(),
+                }
+            }
         };
         Ok(self.finish(c, &target))
     }
@@ -292,14 +298,19 @@ impl Telechat {
     /// The first half of [`Telechat::run`]: prepare, compile, extract, the
     /// source leg and the target-model resolution — everything before the
     /// target leg, which a campaign worker may have to park for.
-    pub(crate) fn begin(&self, test: &LitmusTest, compiler: &Compiler) -> Result<Continuation> {
+    pub(crate) fn begin(
+        &self,
+        test: &LitmusTest,
+        compiler: &Compiler,
+        legs: LegRun<'_>,
+    ) -> Result<Continuation> {
         let (prepared, _compiled, mapping, asm, target) = self.extract(test, compiler)?;
 
         // Step 3: simulate the source under the source model (shared
         // across profiles through the cache).
         let source = {
             let _span = telechat_obs::span("source-sim");
-            self.source_leg(&prepared)?
+            self.source_leg(&prepared, legs)?
         };
         let target_model = self.target_model(&target)?;
         Ok(Continuation {
@@ -396,10 +407,10 @@ impl Telechat {
     /// The campaign warm-up: prepares `test` and claims its source leg
     /// without blocking, with `waker` parked on the leg until it is ready
     /// (see [`SimCache`]). Without a cache the waker comes back at once.
-    pub(crate) fn warm_source(&self, test: &LitmusTest, waker: Waker) {
+    pub(crate) fn warm_source(&self, test: &LitmusTest, waker: Waker, legs: LegRun<'_>) {
         if let Some(cache) = &self.cache {
             let prepared = self.prepare(test);
-            cache.park_on_source_leg(&prepared, &self.source_model, &self.config.sim, waker);
+            cache.park_on_source_leg(&prepared, &self.source_model, &self.config.sim, waker, legs);
         }
     }
 
@@ -412,7 +423,33 @@ impl Telechat {
     /// Propagates simulation failures.
     pub fn simulate_source(&self, test: &LitmusTest) -> Result<Arc<SimResult>> {
         let prepared = self.prepare(test);
-        self.source_leg(&prepared).map(|leg| leg.result)
+        self.source_leg(&prepared, LegRun::default())
+            .map(|leg| leg.result)
+    }
+}
+
+/// How one campaign work item's simulation legs run: under the campaign's
+/// injected faults, if any, and the item's deadline, if it has one.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct LegRun<'a> {
+    pub(crate) faults: Option<&'a EngineFaults>,
+    pub(crate) deadline: Option<Deadline>,
+}
+
+impl LegRun<'_> {
+    /// Fires any armed fault for the leg, then simulates `test` under the
+    /// deadline.
+    pub(crate) fn simulate(
+        &self,
+        leg: FaultLeg,
+        test: &LitmusTest,
+        model: &CatModel,
+        config: &SimConfig,
+    ) -> Result<SimResult> {
+        if let Some(faults) = self.faults {
+            faults.fire(leg, &test.name, self.deadline)?;
+        }
+        simulate_until(test, model, config, self.deadline)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Simulation configuration and results.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
-use telechat_common::OutcomeSet;
+use std::time::{Duration, Instant};
+use telechat_common::{Error, OutcomeSet, Result};
 use telechat_obs::Histogram;
 
 /// Limits and switches for one simulation run.
@@ -23,15 +23,15 @@ pub struct SimConfig {
     /// Wall-clock limit for the whole simulation.
     pub timeout: Option<Duration>,
     /// Wall-clock deadline for one campaign *work item* (prepare, compile,
-    /// extract and both simulation legs). Enforced by the campaign driver,
-    /// not the enumerator: a work item that overruns — including one
-    /// stalled *outside* the simulator's cooperative [`SimConfig::timeout`]
-    /// checks — is abandoned and becomes a typed
-    /// `Error::Deadline` cell while the rest of the campaign completes.
-    /// `None` (the default) disables the watchdog. Excluded from the cache
-    /// key (`sim_config_fingerprint`): like `threads`, it is an
-    /// enforcement knob, not a semantic input — cached results are only
-    /// ever recorded from runs that finished.
+    /// extract and both simulation legs), counted from when the item
+    /// starts. Cooperative, at [`SimConfig::timeout`]'s checkpoints (the
+    /// enumerator's periodic tick, the start of each simulation) and the
+    /// campaign driver's phase boundaries: an overrunning item becomes a
+    /// typed `Error::Deadline` cell. Nothing is abandoned: a leg stalled
+    /// *outside* the checkpoints holds its worker until it returns. `None`
+    /// (the default) disables it. Excluded from the cache key
+    /// (`sim_config_fingerprint`): an enforcement knob, not a semantic
+    /// input — and a leg it cuts short is never cached.
     pub deadline: Option<Duration>,
     /// Explore store-exclusive failure paths (off = exclusives always
     /// succeed, the common litmus assumption).
@@ -100,14 +100,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the campaign work-item wall-clock deadline (see
-    /// [`SimConfig::deadline`]).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> SimConfig {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// A configuration using every available core for enumeration.
     #[must_use]
     pub fn parallel() -> SimConfig {
@@ -116,6 +108,39 @@ impl SimConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
         )
+    }
+}
+
+/// A work item's [`SimConfig::deadline`], fixed when the item starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline {
+    /// When the item falls due.
+    pub at: Instant,
+    /// The configured limit.
+    pub limit: Duration,
+}
+
+impl Deadline {
+    /// The deadline `limit` from now.
+    pub fn after(limit: Duration) -> Deadline {
+        Deadline {
+            at: Instant::now() + limit,
+            limit,
+        }
+    }
+
+    /// A checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Deadline`] once the deadline has passed.
+    pub fn check(&self) -> Result<()> {
+        if Instant::now() < self.at {
+            return Ok(());
+        }
+        Err(Error::Deadline {
+            limit_ms: u64::try_from(self.limit.as_millis()).unwrap_or(u64::MAX),
+        })
     }
 }
 

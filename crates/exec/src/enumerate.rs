@@ -93,7 +93,7 @@
 //! (merged by ascending task id) stay **byte-identical to the sequential
 //! DFS** at every thread count.
 
-use crate::config::{PruneSites, SimConfig, SimResult};
+use crate::config::{Deadline, PruneSites, SimConfig, SimResult};
 use crate::event::{Event, EventKind, Execution, INIT_THREAD};
 use crate::model::{ComboChecker, ConsistencyModel, PartialVerdict, Verdict};
 use crate::rel::Relation;
@@ -182,10 +182,28 @@ pub fn simulate(
     model: &dyn ConsistencyModel,
     config: &SimConfig,
 ) -> Result<SimResult> {
+    simulate_until(test, model, config, None)
+}
+
+/// [`simulate`] for a work item with a [`Deadline`], checked at the start
+/// and at the enumerator's timeout checkpoints.
+///
+/// # Errors
+///
+/// As [`simulate`], plus [`Error::Deadline`] once `deadline` has passed.
+pub fn simulate_until(
+    test: &LitmusTest,
+    model: &dyn ConsistencyModel,
+    config: &SimConfig,
+    deadline: Option<Deadline>,
+) -> Result<SimResult> {
     test.validate()?;
+    if let Some(d) = deadline {
+        d.check()?;
+    }
     let start = Instant::now();
     let ft_start = crate::rel::full_traversals();
-    let deadline = config.timeout.map(|t| start + t);
+    let timeout_at = config.timeout.map(|t| start + t);
 
     let thread_traces = interpret_all_traces(test, config)?;
     let shapes: Vec<Vec<u32>> = thread_traces.iter().map(|t| shape_ids(t)).collect();
@@ -246,7 +264,8 @@ pub fn simulate(
         config,
         observed: &observed,
         readonly: &readonly,
-        deadline,
+        deadline: timeout_at,
+        item: deadline,
         thread_traces: &thread_traces,
         shapes: &shapes,
         counts: &counts,
@@ -279,7 +298,7 @@ pub fn simulate(
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
-                            let _trace = telechat_obs::adopt(parent_span);
+                            let _trace = telechat_obs::adopt(parent_span.clone());
                             let shard = run_task_worker(&ctx, &plans, total_tasks);
                             (shard, crate::rel::full_traversals())
                         })
@@ -302,7 +321,7 @@ pub fn simulate(
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(|| {
-                        let _trace = telechat_obs::adopt(parent_span);
+                        let _trace = telechat_obs::adopt(parent_span.clone());
                         (run_worker(&ctx), crate::rel::full_traversals())
                     })
                 })
@@ -397,7 +416,10 @@ struct WorkerCtx<'a> {
     config: &'a SimConfig,
     observed: &'a BTreeSet<StateKey>,
     readonly: &'a BTreeSet<Loc>,
+    /// When the simulation's own [`SimConfig::timeout`] runs out.
     deadline: Option<Instant>,
+    /// The work item's deadline, if the caller has one.
+    item: Option<Deadline>,
     thread_traces: &'a [Vec<Trace>],
     /// Per thread, the shape id of each trace ([`shape_ids`]).
     shapes: &'a [Vec<u32>],
@@ -468,24 +490,32 @@ fn skeleton_key(ctx: &WorkerCtx<'_>, idx: u64, key: &mut Vec<u32>) {
 /// dropped by one that stopped early).
 type Sessions<'a> = HashMap<Vec<u32>, Option<Box<dyn ComboChecker + 'a>>>;
 
-/// Cross-worker abort / deadline poll at claim boundaries. The intra-combo
-/// deadline tick only fires every 256 leaves, so a workload whose
+impl WorkerCtx<'_> {
+    /// The error once the timeout or the item's deadline has passed.
+    fn overrun(&self) -> Option<Error> {
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
+            let limit_ms = self.config.timeout.map(|t| t.as_millis() as u64).unwrap_or(0);
+            return Some(Error::Timeout { limit_ms });
+        }
+        self.item.and_then(|d| d.check().err())
+    }
+}
+
+/// Cross-worker abort / time-limit poll at claim boundaries. The
+/// intra-combo tick only fires every 256 leaves, so a workload whose
 /// explosion is in *combinations* (many combos, each small) must also poll
 /// here. Returns `true` when the worker should unwind.
 fn poll_stop(ctx: &WorkerCtx<'_>) -> bool {
     if ctx.shared.abort.load(Ordering::Relaxed) {
         return true;
     }
-    if let Some(d) = ctx.deadline {
-        if Instant::now() > d {
-            let limit_ms = ctx.config.timeout.map(|t| t.as_millis() as u64).unwrap_or(0);
-            let mut slot = ctx.shared.error.lock().expect("error slot");
-            if slot.is_none() {
-                *slot = Some((u64::MAX, Error::Timeout { limit_ms }));
-            }
-            ctx.shared.abort.store(true, Ordering::Relaxed);
-            return true;
+    if let Some(e) = ctx.overrun() {
+        let mut slot = ctx.shared.error.lock().expect("error slot");
+        if slot.is_none() {
+            *slot = Some((u64::MAX, e));
         }
+        ctx.shared.abort.store(true, Ordering::Relaxed);
+        return true;
     }
     false
 }
@@ -863,7 +893,7 @@ impl ComboRun<'_, '_, '_> {
         }
     }
 
-    /// Periodic deadline / cross-worker abort check.
+    /// Periodic time-limit / cross-worker abort check.
     fn tick(&mut self) -> std::result::Result<(), Stop> {
         self.visits += 1;
         if !self.visits.is_multiple_of(256) {
@@ -872,17 +902,9 @@ impl ComboRun<'_, '_, '_> {
         if self.ctx.shared.abort.load(Ordering::Relaxed) {
             return Err(Stop::Cancelled);
         }
-        if let Some(d) = self.ctx.deadline {
-            if Instant::now() > d {
-                self.ctx.shared.abort.store(true, Ordering::Relaxed);
-                let limit_ms = self
-                    .ctx
-                    .config
-                    .timeout
-                    .map(|t| t.as_millis() as u64)
-                    .unwrap_or(0);
-                return Err(Stop::Fatal(Error::Timeout { limit_ms }));
-            }
+        if let Some(e) = self.ctx.overrun() {
+            self.ctx.shared.abort.store(true, Ordering::Relaxed);
+            return Err(Stop::Fatal(e));
         }
         Ok(())
     }

@@ -64,8 +64,8 @@ pub mod reference;
 pub mod rel;
 pub mod trace;
 
-pub use config::{PruneSites, SimConfig, SimResult};
-pub use enumerate::simulate;
+pub use config::{Deadline, PruneSites, SimConfig, SimResult};
+pub use enumerate::{simulate, simulate_until};
 pub use event::{Event, EventKind, Execution, INIT_THREAD};
 pub use incr::IncrementalOrder;
 pub use model::{

@@ -44,6 +44,7 @@ use telechat_common::{Arch, Error, Result};
 use telechat_compiler::{Compiler, CompilerId, OptLevel, Target};
 use telechat_fuzz::{corpus, fnv1a64, minimize_positive, FuzzConfig, FuzzSource, GenConfig};
 use telechat_litmus::print::to_litmus;
+use telechat_obs::Recorder;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -313,100 +314,65 @@ fn campaign_spec(o: &Opts) -> Result<CampaignSpec> {
     })
 }
 
-/// The live progress sink: a background ticker that renders heartbeat
-/// lines to stderr from the metrics counter registry while the campaign
-/// runs. Stdout stays byte-deterministic. The ticker is a drop guard —
-/// the final line is emitted on drop, so even campaigns that end in an
-/// early error or a panic (unwinding through `campaign`) report their
-/// totals instead of going silent.
-struct ProgressTicker {
-    shared: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ProgressTicker {
-    fn start(total: usize, journal: bool) -> ProgressTicker {
-        let shared = std::sync::Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-        let in_thread = std::sync::Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            let (lock, cv) = &*in_thread;
-            let mut stopped = match lock.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            loop {
-                let tick = std::time::Duration::from_millis(1000);
-                stopped = match cv.wait_timeout(stopped, tick) {
-                    Ok((g, _)) => g,
-                    Err(p) => p.into_inner().0,
-                };
-                Self::heartbeat(total, journal, started, *stopped);
-                if *stopped {
-                    return;
-                }
+/// Runs `campaign` under the live progress sink: a background thread
+/// renders heartbeat lines to stderr from the campaign's metrics recorder
+/// once a second, and a final line when the campaign returns — or
+/// unwinds, so a campaign that ends in a panic still reports its totals.
+/// Stdout stays byte-deterministic.
+fn with_progress<T>(
+    rec: &Recorder,
+    total: usize,
+    journal: bool,
+    campaign: impl FnOnce() -> T,
+) -> T {
+    let started = std::time::Instant::now();
+    std::thread::scope(|s| {
+        let (running, stopped) = std::sync::mpsc::channel::<()>();
+        s.spawn(move || loop {
+            let tick = stopped.recv_timeout(std::time::Duration::from_millis(1000));
+            let done = tick != Err(std::sync::mpsc::RecvTimeoutError::Timeout);
+            heartbeat(rec, total, journal, started, done);
+            if done {
+                return;
             }
         });
-        ProgressTicker {
-            shared,
-            handle: Some(handle),
-        }
-    }
-
-    /// One heartbeat line from the live counter registry.
-    fn heartbeat(total: usize, journal: bool, started: std::time::Instant, done: bool) {
-        use telechat_obs::{get, Counter};
-        let tests = get(Counter::CampaignTests);
-        let positives = get(Counter::CampaignPositives);
-        let pruned = get(Counter::SimPruned);
-        let candidates = get(Counter::SimCandidates);
-        let elapsed = started.elapsed().as_secs_f64();
-        let prune = if candidates > 0 {
-            format!("{:.1}%", pruned as f64 * 100.0 / candidates as f64)
-        } else {
-            "-".into()
-        };
-        let resumed = if journal {
-            let replayed = get(Counter::CampaignResumed);
-            let remaining = (total as u64).saturating_sub(tests);
-            format!(", {replayed} resumed/{remaining} remaining")
-        } else {
-            String::new()
-        };
-        let eta = if done {
-            " done".into()
-        } else if tests > 0 && (tests as usize) < total {
-            let remaining = elapsed / tests as f64 * (total as f64 - tests as f64);
-            format!(" eta {remaining:.0}s")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "progress: {tests}/{total} tests, {positives} positive(s), prune {prune}{resumed}, {elapsed:.1}s{eta}"
-        );
-    }
-
-    /// Stops the ticker thread after one last heartbeat. Idempotent; also
-    /// runs from `Drop`, which is what guarantees the final line on the
-    /// error and panic paths.
-    fn finish(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        let (lock, cv) = &*self.shared;
-        match lock.lock() {
-            Ok(mut g) => *g = true,
-            Err(p) => *p.into_inner() = true,
-        }
-        cv.notify_all();
-        handle.join().ok();
-    }
+        let out = campaign();
+        drop(running);
+        out
+    })
 }
 
-impl Drop for ProgressTicker {
-    fn drop(&mut self) {
-        self.finish();
-    }
+/// One heartbeat line from the live counter registry.
+fn heartbeat(rec: &Recorder, total: usize, journal: bool, started: std::time::Instant, done: bool) {
+    use telechat_obs::Counter;
+    let tests = rec.get(Counter::CampaignTests);
+    let positives = rec.get(Counter::CampaignPositives);
+    let pruned = rec.get(Counter::SimPruned);
+    let candidates = rec.get(Counter::SimCandidates);
+    let elapsed = started.elapsed().as_secs_f64();
+    let prune = if candidates > 0 {
+        format!("{:.1}%", pruned as f64 * 100.0 / candidates as f64)
+    } else {
+        "-".into()
+    };
+    let resumed = if journal {
+        let replayed = rec.get(Counter::CampaignResumed);
+        let remaining = (total as u64).saturating_sub(tests);
+        format!(", {replayed} resumed/{remaining} remaining")
+    } else {
+        String::new()
+    };
+    let eta = if done {
+        " done".into()
+    } else if tests > 0 && (tests as usize) < total {
+        let remaining = elapsed / tests as f64 * (total as f64 - tests as f64);
+        format!(" eta {remaining:.0}s")
+    } else {
+        String::new()
+    };
+    eprintln!(
+        "progress: {tests}/{total} tests, {positives} positive(s), prune {prune}{resumed}, {elapsed:.1}s{eta}"
+    );
 }
 
 fn pipeline_config(o: &Opts) -> PipelineConfig {
@@ -443,13 +409,13 @@ fn campaign(o: &Opts) -> Result<i32> {
         let shard = o.shard.unwrap_or_else(ShardSpec::whole);
         spec.journal = Some(std::sync::Arc::new(CampaignJournal::open(path, fp, shard)?));
     }
-    let mut ticker = o
-        .progress
-        .then(|| ProgressTicker::start(o.count, spec.journal.is_some()));
-    let result = run_campaign_source(&mut source, &spec, &config);
-    if let Some(ticker) = &mut ticker {
-        ticker.finish();
-    }
+    let mut run = || run_campaign_source(&mut source, &spec, &config);
+    // The campaign records into (and closes) the window opened here, which
+    // the progress sink watches live.
+    let result = match o.progress.then(Recorder::begin) {
+        Some(rec) => with_progress(&rec, o.count, spec.journal.is_some(), run),
+        None => run(),
+    };
     let result = result?;
     println!("{result}");
     if let Some(path) = &o.trace {

@@ -7,26 +7,31 @@
 //!
 //! # Design
 //!
-//! The subsystem is **off by default** and a true no-op while off: every
-//! entry point starts with one relaxed load of a process-wide flag (the
-//! same pattern as `telechat::fault::fire`), no clock is read, no key
-//! string is formatted ([`span_with`] takes the key lazily), and nothing
-//! allocates. [`begin`] resets all state and arms the flag; [`finish`]
-//! disarms it and returns an [`ObsReport`] snapshot.
+//! Collection is scoped to a [`Recorder`] — one per campaign (or bench
+//! pass) — never to the process: two campaigns running side by side in one
+//! process each see exactly their own counters and spans. A thread reports
+//! to the recorder its span context carries. [`Recorder::begin`] installs a
+//! fresh recorder on the calling thread, and work crossing a thread
+//! boundary (campaign workers, enumeration workers, stolen DFS tasks)
+//! carries a [`SpanRef`] — which holds the recorder — and re-parents itself
+//! with [`adopt`]. [`Recorder::finish`] uninstalls the recorder and returns
+//! an [`ObsReport`] snapshot.
+//!
+//! A thread with no recorder is a true no-op: every entry point starts with
+//! one thread-local check, no clock is read, no key string is formatted
+//! ([`span_with`] takes the key lazily), and nothing allocates.
 //!
 //! **Spans** form a hierarchy — campaign → work item → leg → simulate →
 //! combo → DFS shard — threaded through the stack by a thread-local span
-//! stack. Work crossing a thread boundary (campaign workers, enumeration
-//! workers, the deadline watchdog) carries a [`SpanRef`] and re-parents
-//! itself with [`adopt`]. Span ids are *stable*: `id = fnv1a64(parent,
-//! name, key)`, so the id of "the source-sim leg of test X" is the same in
-//! every run at every thread count; completed spans are buffered
-//! thread-locally and flushed to a capped global sink, and [`finish`]
-//! normalises their order (depth, name, key, id, start) so the JSONL trace
-//! is diffable even though the OS scheduled the threads differently.
+//! stack. Span ids are *stable*: `id = fnv1a64(parent, name, key)`, so the
+//! id of "the source-sim leg of test X" is the same in every run at every
+//! thread count; completed spans are buffered thread-locally and flushed to
+//! the recorder's capped sink, and the report normalises their order
+//! (depth, name, key, id, start) so the JSONL trace is diffable even though
+//! the OS scheduled the threads differently.
 //!
-//! **Counters** live in a fixed process-wide registry ([`Counter`]), each
-//! tagged with a determinism [`Class`]:
+//! **Counters** form a fixed registry ([`Counter`]), each tagged with a
+//! determinism [`Class`]:
 //!
 //! * [`Class::Deterministic`] — byte-identical across thread counts,
 //!   cache on/off and store warm/cold; the set CI gates on.
@@ -41,139 +46,194 @@
 //! [`LocalMetric`]s: thread-local cells, always counted, never gated.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use telechat_common::fnv1a64;
 
 // ---------------------------------------------------------------------------
-// Enablement.
+// Recorders.
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// One recording window's sink: counters, attribution rows, histograms and
+/// completed spans. Cloning shares the sink.
+#[derive(Clone)]
+pub struct Recorder(Arc<Sink>);
 
-/// Whether the subsystem is recording. One relaxed load; the hot-path
-/// guard of every other entry point.
+struct Sink {
+    counters: [AtomicU64; Counter::ALL.len()],
+    /// The labelled attribution rows (see [`add_labelled`]).
+    labelled: Mutex<BTreeMap<String, u64>>,
+    hists: Mutex<Vec<(String, Class, Histogram)>>,
+    /// Completed spans flushed by all threads, capped at [`EVENT_CAP`].
+    events: Mutex<Vec<SpanEvent>>,
+    /// Spans dropped because the sink was full.
+    dropped: AtomicU64,
+    /// The window's time origin.
+    epoch: Instant,
+}
+
+/// Whether the calling thread is recording. One thread-local check; the
+/// hot-path guard of every other entry point.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    TRACE.with(|t| t.borrow().rec.is_some())
 }
 
-/// Arms recording: resets every counter and the span sink, then enables.
-/// One campaign (or bench pass) per `begin`/`finish` window; concurrent
-/// windows in one process interleave and belong to whoever calls
-/// [`finish`] — callers that share a process (tests) serialise themselves.
-pub fn begin() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    {
-        let mut sink = lock(&EVENTS);
-        sink.clear();
-    }
-    {
-        let mut reg = lock(labelled());
-        reg.index.clear();
-        reg.slots.clear();
-    }
-    lock(hist_registry()).clear();
-    DROPPED.store(0, Ordering::Relaxed);
-    epoch(); // pin the time origin before the first span
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Disarms recording and snapshots everything recorded since [`begin`].
-/// The calling thread's spans must all be closed (dropped) by now.
-pub fn finish() -> ObsReport {
-    ENABLED.store(false, Ordering::Relaxed);
-    flush_thread();
-    let mut spans: Vec<SpanEvent> = std::mem::take(&mut *lock(&EVENTS));
-    // Normalise: start times relative to the earliest span, order by the
-    // stable key — scheduling decides none of the output.
-    let origin = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-    for s in &mut spans {
-        s.start_ns -= origin;
-    }
-    spans.sort_by(|a, b| {
-        (a.depth, a.name, &a.key, a.id, a.start_ns).cmp(&(b.depth, b.name, &b.key, b.id, b.start_ns))
-    });
-
-    let mut phases: Vec<PhaseRow> = Vec::new();
-    for s in &spans {
-        match phases.iter_mut().find(|p| p.name == s.name) {
-            Some(p) => {
-                p.count += 1;
-                p.total_ns += u128::from(s.dur_ns);
-            }
-            None => phases.push(PhaseRow {
-                name: s.name.to_string(),
-                count: 1,
-                total_ns: u128::from(s.dur_ns),
-            }),
+/// Runs `f` on the calling thread's recorder, if it has one.
+#[inline]
+fn with_recorder(f: impl FnOnce(&Sink)) {
+    TRACE.with(|t| {
+        if let Some(rec) = &t.borrow().rec {
+            f(&rec.0);
         }
+    });
+}
+
+impl Recorder {
+    /// Opens a recording window: a fresh recorder, installed on the calling
+    /// thread (and every thread that adopts a span from it) until
+    /// [`Recorder::finish`]. Opening another replaces it.
+    pub fn begin() -> Recorder {
+        let rec = Recorder(Arc::new(Sink {
+            counters: [const { AtomicU64::new(0) }; Counter::ALL.len()],
+            labelled: Mutex::new(BTreeMap::new()),
+            hists: Mutex::new(Vec::new()),
+            events: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
+            epoch: Instant::now(),
+        }));
+        TRACE.with(|t| {
+            let mut t = t.borrow_mut();
+            t.stack.clear();
+            switch(&mut t, Some(rec.clone()));
+        });
+        rec
     }
 
-    let mut counters: Vec<CounterRow> = Counter::ALL
-        .iter()
-        .map(|&c| CounterRow {
-            name: c.name().to_string(),
-            class: c.class(),
-            value: COUNTERS[c as usize].load(Ordering::Relaxed),
-        })
-        .collect();
+    /// The calling thread's recorder, if it is recording.
+    pub fn active() -> Option<Recorder> {
+        TRACE.with(|t| t.borrow().rec.clone())
+    }
 
-    // Labelled attribution rows, sorted by name: the registry's interning
-    // order is first-touch (scheduling-dependent), the snapshot is not.
-    let mut labelled_rows: Vec<CounterRow> = lock(labelled())
-        .slots
-        .iter()
-        .map(|(name, v)| CounterRow {
+    /// Closes the window: uninstalls the recorder from the calling thread
+    /// and snapshots everything recorded. The calling thread's spans must
+    /// all be closed (dropped) by now.
+    pub fn finish(self) -> ObsReport {
+        TRACE.with(|t| {
+            let mut t = t.borrow_mut();
+            if t.rec.as_ref().is_some_and(|r| Arc::ptr_eq(&r.0, &self.0)) {
+                t.stack.clear();
+                switch(&mut t, None);
+            }
+        });
+        self.0.report()
+    }
+
+    /// Current value of a registry counter (live progress, diagnostics).
+    pub fn get(&self, c: Counter) -> u64 {
+        self.0.counters[c as usize].load(Ordering::Relaxed)
+    }
+}
+
+impl Sink {
+    /// Snapshots the window, taking the completed spans out of the sink.
+    fn report(&self) -> ObsReport {
+        let mut spans = std::mem::take(&mut *lock(&self.events));
+        // Normalise: start times relative to the earliest span, order by the
+        // stable key — scheduling decides none of the output.
+        let origin = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+        for s in &mut spans {
+            s.start_ns -= origin;
+        }
+        spans.sort_by(|a, b| {
+            (a.depth, a.name, &a.key, a.id, a.start_ns).cmp(&(b.depth, b.name, &b.key, b.id, b.start_ns))
+        });
+
+        let mut phases: Vec<PhaseRow> = Vec::new();
+        for s in &spans {
+            match phases.iter_mut().find(|p| p.name == s.name) {
+                Some(p) => {
+                    p.count += 1;
+                    p.total_ns += u128::from(s.dur_ns);
+                }
+                None => phases.push(PhaseRow {
+                    name: s.name.to_string(),
+                    count: 1,
+                    total_ns: u128::from(s.dur_ns),
+                }),
+            }
+        }
+
+        let mut counters: Vec<CounterRow> = Counter::ALL
+            .iter()
+            .map(|&c| CounterRow {
+                name: c.name().to_string(),
+                class: c.class(),
+                value: self.counters[c as usize].load(Ordering::Relaxed),
+            })
+            .collect();
+
+        // Labelled attribution rows, sorted by name.
+        counters.extend(lock(&self.labelled).iter().map(|(name, &value)| CounterRow {
             name: name.clone(),
             class: Class::Deterministic,
-            value: v.load(Ordering::Relaxed),
-        })
-        .collect();
-    labelled_rows.sort_by(|a, b| a.name.cmp(&b.name));
-    counters.extend(labelled_rows);
+            value,
+        }));
 
-    // Histograms: the merged engine distributions fed through
-    // [`merge_hist`]/[`record_hist`], plus per-phase latency distributions
-    // derived from the spans already collected (no extra hot-path cost).
-    let mut hists: Vec<HistRow> = lock(hist_registry())
-        .iter()
-        .map(|(name, class, h)| HistRow {
-            name: name.clone(),
-            class: *class,
-            hist: h.clone(),
-        })
-        .collect();
-    for s in &spans {
-        match hists
-            .iter_mut()
-            .find(|h| h.name.strip_prefix("phase.") == Some(s.name))
-        {
-            Some(row) => row.hist.record(s.dur_ns),
-            None => {
-                let mut h = Histogram::new();
-                h.record(s.dur_ns);
-                hists.push(HistRow {
-                    name: format!("phase.{}", s.name),
-                    class: Class::Scheduling,
-                    hist: h,
-                });
+        // Histograms: the merged engine distributions fed through
+        // [`merge_hist`]/[`record_hist`], plus per-phase latency distributions
+        // derived from the spans already collected (no extra hot-path cost).
+        let mut hists: Vec<HistRow> = lock(&self.hists)
+            .iter()
+            .map(|(name, class, h)| HistRow {
+                name: name.clone(),
+                class: *class,
+                hist: h.clone(),
+            })
+            .collect();
+        for s in &spans {
+            match hists
+                .iter_mut()
+                .find(|h| h.name.strip_prefix("phase.") == Some(s.name))
+            {
+                Some(row) => row.hist.record(s.dur_ns),
+                None => {
+                    let mut h = Histogram::new();
+                    h.record(s.dur_ns);
+                    hists.push(HistRow {
+                        name: format!("phase.{}", s.name),
+                        class: Class::Scheduling,
+                        hist: h,
+                    });
+                }
             }
         }
-    }
-    hists.sort_by(|a, b| a.name.cmp(&b.name));
+        hists.sort_by(|a, b| a.name.cmp(&b.name));
 
-    ObsReport {
-        counters,
-        phases,
-        hists,
-        spans,
-        dropped_events: DROPPED.load(Ordering::Relaxed),
+        ObsReport {
+            counters,
+            phases,
+            hists,
+            spans,
+            dropped_events: self.dropped.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Moves a thread's buffered spans into the sink.
+    fn flush(&self, buf: &mut Vec<SpanEvent>) {
+        if buf.is_empty() {
+            return;
+        }
+        let mut sink = lock(&self.events);
+        let room = EVENT_CAP.saturating_sub(sink.len());
+        if buf.len() > room {
+            self.dropped.fetch_add((buf.len() - room) as u64, Ordering::Relaxed);
+            buf.truncate(room);
+        }
+        sink.append(buf);
     }
 }
 
@@ -206,7 +266,7 @@ impl Class {
 
 macro_rules! counters {
     ($($variant:ident => ($name:literal, $class:ident),)*) => {
-        /// The process-wide counter registry (fixed set; see module docs).
+        /// The counter registry (fixed set; see module docs).
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Counter {
@@ -227,9 +287,6 @@ macro_rules! counters {
                 match self { $(Counter::$variant => Class::$class,)* }
             }
         }
-
-        static COUNTERS: [AtomicU64; Counter::ALL.len()] =
-            [const { AtomicU64::new(0) }; Counter::ALL.len()];
     };
 }
 
@@ -254,70 +311,35 @@ counters! {
     FaultFirings => ("fault.firings", Process),
 }
 
-/// Adds `n` to a registry counter. No-op (one relaxed load) while off.
+/// Adds `n` to a registry counter of the calling thread's recorder. No-op
+/// (one thread-local check) while off.
 #[inline]
 pub fn add(c: Counter, n: u64) {
-    if enabled() {
-        COUNTERS[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Current value of a registry counter (test/diagnostic use).
-pub fn get(c: Counter) -> u64 {
-    COUNTERS[c as usize].load(Ordering::Relaxed)
+    with_recorder(|r| {
+        r.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Labelled counters (dynamic attribution registry).
 // ---------------------------------------------------------------------------
 
-/// The dynamic labelled-counter registry: attribution rows whose label set
-/// is only known at run time (`.cat` rule names, prune sites, coverage
-/// classes). Labels are interned on first use — a `HashMap` index into a
-/// slot vector of `(label, AtomicU64)` — and [`begin`] clears the registry.
-struct Labelled {
-    index: HashMap<String, usize>,
-    slots: Vec<(String, AtomicU64)>,
-}
-
-fn labelled() -> &'static Mutex<Labelled> {
-    static LABELLED: OnceLock<Mutex<Labelled>> = OnceLock::new();
-    LABELLED.get_or_init(|| {
-        Mutex::new(Labelled {
-            index: HashMap::new(),
-            slots: Vec::new(),
-        })
-    })
-}
-
-/// Adds `n` to the labelled counter `name`, interning the label on first
-/// use. No-op (one relaxed load) while off. Labelled totals are rendered
-/// `count`-class: callers only feed them deterministic charges (rule
-/// tallies, prune-site charge sums, coverage tallies), never scheduling
-/// artefacts.
+/// Adds `n` to the labelled counter `name` — an attribution row whose label
+/// set is only known at run time (`.cat` rule names, prune sites, coverage
+/// classes) — interning the label on first use. No-op (one thread-local
+/// check) while off. Labelled totals are rendered `count`-class: callers
+/// only feed them deterministic charges (rule tallies, prune-site charge
+/// sums, coverage tallies), never scheduling artefacts.
 pub fn add_labelled(name: &str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = lock(labelled());
-    match reg.index.get(name).copied() {
-        Some(i) => {
-            reg.slots[i].1.fetch_add(n, Ordering::Relaxed);
+    with_recorder(|r| {
+        let mut rows = lock(&r.labelled);
+        match rows.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                rows.insert(name.to_string(), n);
+            }
         }
-        None => {
-            let i = reg.slots.len();
-            reg.index.insert(name.to_string(), i);
-            reg.slots.push((name.to_string(), AtomicU64::new(n)));
-        }
-    }
-}
-
-/// Current value of a labelled counter (test/diagnostic use); `None` for
-/// labels never touched this window.
-pub fn get_labelled(name: &str) -> Option<u64> {
-    let reg = lock(labelled());
-    let i = reg.index.get(name).copied()?;
-    Some(reg.slots[i].1.load(Ordering::Relaxed))
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -471,39 +493,29 @@ impl Histogram {
     }
 }
 
-fn hist_registry() -> &'static Mutex<Vec<(String, Class, Histogram)>> {
-    static HISTS: OnceLock<Mutex<Vec<(String, Class, Histogram)>>> = OnceLock::new();
-    HISTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 /// Records one sample into the named histogram. No-op while off.
 pub fn record_hist(name: &str, class: Class, v: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = lock(hist_registry());
-    match reg.iter_mut().find(|(n, _, _)| n == name) {
-        Some((_, _, h)) => h.record(v),
-        None => {
-            let mut h = Histogram::new();
-            h.record(v);
-            reg.push((name.to_string(), class, h));
-        }
-    }
+    let mut h = Histogram::new();
+    h.record(v);
+    merge_hist(name, class, &h);
 }
 
 /// Merges a pre-aggregated histogram (e.g. a `SimResult`'s per-combo DFS
-/// sizes) into the named registry entry. No-op while off or when `h` is
-/// empty.
+/// sizes) into the named entry. No-op while off or when `h` is empty.
 pub fn merge_hist(name: &str, class: Class, h: &Histogram) {
-    if !enabled() || h.is_empty() {
+    if h.is_empty() {
         return;
     }
-    let mut reg = lock(hist_registry());
-    match reg.iter_mut().find(|(n, _, _)| n == name) {
-        Some((_, _, existing)) => existing.merge(h),
-        None => reg.push((name.to_string(), class, h.clone())),
-    }
+    with_recorder(|r| {
+        let mut reg = lock(&r.hists);
+        match reg.iter_mut().find(|(n, _, _)| n == name) {
+            Some((_, _, existing)) => existing.merge(h),
+            None => reg.push((name.to_string(), class, h.clone())),
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -563,18 +575,21 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// A handle for re-parenting work that hops threads.
-#[derive(Debug, Clone, Copy)]
+/// A handle for re-parenting work that hops threads: the innermost open
+/// span, if any, and the recorder it reports to.
+#[derive(Clone)]
 pub struct SpanRef {
-    id: u64,
-    depth: u32,
+    parent: Option<(u64, u32)>,
+    rec: Recorder,
 }
 
 struct TlTrace {
     /// Open spans on this thread: (id, depth). Adopted parents count.
     stack: Vec<(u64, u32)>,
-    /// Completed spans awaiting a flush.
+    /// Completed spans awaiting a flush to `rec`.
     buf: Vec<SpanEvent>,
+    /// The recorder this thread reports to; `None` while off.
+    rec: Option<Recorder>,
 }
 
 thread_local! {
@@ -582,26 +597,17 @@ thread_local! {
         RefCell::new(TlTrace {
             stack: Vec::new(),
             buf: Vec::new(),
+            rec: None,
         })
     };
 }
 
-/// Completed spans flushed by all threads, capped at [`EVENT_CAP`].
-static EVENTS: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
-/// Spans dropped because the sink was full.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
 /// Sink cap: a campaign-scale trace is thousands of spans; a runaway
 /// producer degrades to counting drops instead of exhausting memory.
 const EVENT_CAP: usize = 1 << 20;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The window's time origin (process-wide, pinned by [`begin`]).
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
 }
 
 /// The stable id of a span (exposed so tests can predict ids).
@@ -612,8 +618,8 @@ pub fn span_id(parent: u64, name: &str, key: &str) -> u64 {
     h.max(1) // 0 means "no parent"
 }
 
-/// An open span; records itself into the sink when dropped. The no-op
-/// variant (subsystem off) is a `None` and costs nothing to drop.
+/// An open span; records itself into the thread's recorder when dropped.
+/// The no-op variant (subsystem off) is a `None` and costs nothing to drop.
 pub struct Span(Option<ActiveSpan>);
 
 struct ActiveSpan {
@@ -675,15 +681,17 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(a) = self.0.take() else { return };
         let dur_ns = u64::try_from(a.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let start_ns =
-            u64::try_from(a.start.duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX);
         TRACE.with(|t| {
             let mut t = t.borrow_mut();
+            let t = &mut *t;
             // Spans close LIFO on one thread; tolerate (and self-heal
             // from) a leaked guard rather than corrupting the stack.
             if let Some(pos) = t.stack.iter().rposition(|&(id, _)| id == a.id) {
                 t.stack.truncate(pos);
             }
+            let Some(rec) = &t.rec else { return };
+            let start_ns =
+                u64::try_from(a.start.duration_since(rec.0.epoch).as_nanos()).unwrap_or(u64::MAX);
             t.buf.push(SpanEvent {
                 id: a.id,
                 parent: a.parent,
@@ -694,76 +702,67 @@ impl Drop for Span {
                 dur_ns,
             });
             if t.stack.is_empty() {
-                flush_buf(&mut t.buf);
+                rec.0.flush(&mut t.buf);
             }
         });
     }
 }
 
-/// The current innermost span, for handing to a spawned thread.
+/// The current span context — the innermost open span and the recorder —
+/// for handing to another thread; `None` while off.
 pub fn current() -> Option<SpanRef> {
-    if !enabled() {
-        return None;
-    }
     TRACE.with(|t| {
-        t.borrow()
-            .stack
-            .last()
-            .map(|&(id, depth)| SpanRef { id, depth })
+        let t = t.borrow();
+        Some(SpanRef {
+            parent: t.stack.last().copied(),
+            rec: t.rec.clone()?,
+        })
     })
 }
 
-/// Guard that re-parents this thread under `parent` until dropped; spans
-/// opened meanwhile nest below it. `None` (subsystem off, or no parent on
-/// the spawning thread) adopts nothing.
-pub struct Adopt(bool);
+/// Guard that re-parents this thread under a [`SpanRef`] — and points it
+/// at that span's recorder — until dropped; spans opened meanwhile nest
+/// below it. `None` (subsystem off on the spawning thread) adopts nothing.
+pub struct Adopt(Option<Adopted>);
+
+/// What an [`Adopt`] guard restores.
+struct Adopted {
+    depth: usize,
+    rec: Option<Recorder>,
+}
 
 /// Adopts a [`SpanRef`] on the current thread (see [`Adopt`]).
 pub fn adopt(parent: Option<SpanRef>) -> Adopt {
-    let Some(p) = parent else { return Adopt(false) };
-    if !enabled() {
-        return Adopt(false);
-    }
-    TRACE.with(|t| t.borrow_mut().stack.push((p.id, p.depth)));
-    Adopt(true)
+    let Some(p) = parent else { return Adopt(None) };
+    TRACE.with(|t| {
+        let mut t = t.borrow_mut();
+        let saved = Adopted {
+            depth: t.stack.len(),
+            rec: switch(&mut t, Some(p.rec)),
+        };
+        t.stack.extend(p.parent);
+        Adopt(Some(saved))
+    })
 }
 
 impl Drop for Adopt {
     fn drop(&mut self) {
-        if !self.0 {
-            return;
-        }
+        let Some(saved) = self.0.take() else { return };
         TRACE.with(|t| {
             let mut t = t.borrow_mut();
-            t.stack.pop();
-            if t.stack.is_empty() {
-                flush_buf(&mut t.buf);
-            }
+            t.stack.truncate(saved.depth);
+            switch(&mut t, saved.rec);
         });
     }
 }
 
-fn flush_buf(buf: &mut Vec<SpanEvent>) {
-    if buf.is_empty() {
-        return;
+/// Points the calling thread at `rec`, first flushing its buffered spans to
+/// the recorder it leaves, which it returns.
+fn switch(t: &mut TlTrace, rec: Option<Recorder>) -> Option<Recorder> {
+    if let Some(old) = &t.rec {
+        old.0.flush(&mut t.buf);
     }
-    let mut sink = lock(&EVENTS);
-    let room = EVENT_CAP.saturating_sub(sink.len());
-    if buf.len() > room {
-        DROPPED.fetch_add((buf.len() - room) as u64, Ordering::Relaxed);
-        buf.truncate(room);
-    }
-    sink.append(buf);
-}
-
-/// Flushes the calling thread's buffered spans (called by [`finish`]; the
-/// worker threads flushed when their stacks emptied).
-fn flush_thread() {
-    TRACE.with(|t| {
-        let mut t = t.borrow_mut();
-        t.stack.clear();
-        flush_buf(&mut t.buf);
-    });
+    std::mem::replace(&mut t.rec, rec)
 }
 
 // ---------------------------------------------------------------------------
@@ -807,7 +806,7 @@ pub struct HistRow {
     pub hist: Histogram,
 }
 
-/// The programmatic snapshot [`finish`] returns: counters, per-phase time
+/// The programmatic snapshot [`Recorder::finish`] returns: counters, per-phase time
 /// and the normalised span list. Embedded by `bench_relops` into
 /// `BENCH_relops.json` and rendered by `CampaignResult`'s `--metrics`
 /// table.
@@ -1142,30 +1141,47 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
-    /// The registry and the span sink are process-global; tests serialise.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_is_inert() {
-        let _g = lock(&SERIAL);
-        ENABLED.store(false, Ordering::Relaxed);
-        let before = get(Counter::SimCandidates);
-        add(Counter::SimCandidates, 5);
-        assert_eq!(get(Counter::SimCandidates), before);
-        let ran = Cell::new(false);
-        let s = span_with("x", || {
-            ran.set(true);
-            "k".into()
-        });
-        drop(s);
-        assert!(!ran.get(), "key closures never run while off");
-        assert!(current().is_none());
+        let rec = Recorder::begin();
+        // A thread that adopted no span context records nothing, not even
+        // into a window open elsewhere in the process.
+        std::thread::spawn(|| {
+            assert!(!enabled());
+            add(Counter::SimCandidates, 5);
+            let ran = Cell::new(false);
+            let s = span_with("x", || {
+                ran.set(true);
+                "k".into()
+            });
+            drop(s);
+            assert!(!ran.get(), "key closures never run while off");
+            assert!(current().is_none());
+        })
+        .join()
+        .unwrap();
+        assert_eq!(rec.get(Counter::SimCandidates), 0);
+        assert!(rec.finish().spans.is_empty());
+        assert!(!enabled(), "finish uninstalls the recorder");
+    }
+
+    #[test]
+    fn labelled_adds_are_gated_off() {
+        let rec = Recorder::begin();
+        std::thread::spawn(|| {
+            add_labelled("rule.leaf.off", 7);
+            record_hist("off.hist", Class::Deterministic, 1);
+        })
+        .join()
+        .unwrap();
+        let report = rec.finish();
+        assert_eq!(report.counter("rule.leaf.off"), None);
+        assert!(report.hist("off.hist").is_none());
     }
 
     #[test]
     fn counters_and_spans_round_trip_through_a_window() {
-        let _g = lock(&SERIAL);
-        begin();
+        let rec = Recorder::begin();
         add(Counter::SimCandidates, 3);
         add(Counter::SimCandidates, 4);
         add(Counter::SimStealTasks, 2);
@@ -1173,7 +1189,7 @@ mod tests {
             let _root = span("campaign");
             let _leg = span_with("work-item", || "SB:clang".into());
         }
-        let report = finish();
+        let report = rec.finish();
         assert_eq!(report.counter("sim.candidates"), Some(7));
         assert_eq!(report.counter("sim.steal_tasks"), Some(2));
         assert_eq!(report.spans.len(), 2);
@@ -1192,21 +1208,21 @@ mod tests {
 
     #[test]
     fn span_ids_are_stable_across_windows_and_threads() {
-        let _g = lock(&SERIAL);
         let run = || {
-            begin();
+            let rec = Recorder::begin();
             let parent = {
                 let _root = span("campaign");
                 let parent = current();
+                let id = parent.as_ref().unwrap().parent.unwrap().0;
                 std::thread::scope(|s| {
                     s.spawn(|| {
                         let _a = adopt(parent);
                         let _w = span_with("work-item", || "T:p".into());
                     });
                 });
-                parent.unwrap().id
+                id
             };
-            (finish(), parent)
+            (rec.finish(), parent)
         };
         let (a, root_a) = run();
         let (b, root_b) = run();
@@ -1221,13 +1237,12 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_back() {
-        let _g = lock(&SERIAL);
-        begin();
+        let rec = Recorder::begin();
         {
             let _root = span("campaign");
             let _child = span_with("work-item", || "a\"b:c".into());
         }
-        let report = finish();
+        let report = rec.finish();
         let mut buf = Vec::new();
         report.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -1251,7 +1266,6 @@ mod tests {
 
     #[test]
     fn hostile_span_keys_round_trip_exactly() {
-        let _g = lock(&SERIAL);
         // Keys engineered to break naive parsers: embedded field tags,
         // backslashes, control characters, non-ASCII — the shapes a rule
         // label from an arbitrary `.cat` file could take.
@@ -1265,14 +1279,14 @@ mod tests {
             "unicode-éλ∀",
             "\"}{\"",
         ];
-        begin();
+        let rec = Recorder::begin();
         {
             let _root = span("campaign");
             for k in keys {
                 let _s = span_with("work-item", || k.to_string());
             }
         }
-        let report = finish();
+        let report = rec.finish();
         let mut buf = Vec::new();
         report.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -1321,8 +1335,7 @@ mod tests {
 
     #[test]
     fn labelled_counters_reset_per_window_and_sort_in_reports() {
-        let _g = lock(&SERIAL);
-        begin();
+        let rec = Recorder::begin();
         add_labelled("rule.leaf.zz", 2);
         add_labelled("rule.leaf.aa", 1);
         add_labelled("rule.leaf.zz", 3);
@@ -1331,7 +1344,7 @@ mod tests {
         h.record(9);
         merge_hist("sim.combo_candidates", Class::Deterministic, &h);
         record_hist("sim.combo_candidates", Class::Deterministic, 1);
-        let report = finish();
+        let report = rec.finish();
         assert_eq!(report.counter("rule.leaf.zz"), Some(5));
         assert_eq!(report.counter("rule.leaf.aa"), Some(1));
         let det = report.deterministic_counters();
@@ -1343,25 +1356,48 @@ mod tests {
         assert_eq!(report.deterministic_hists().len(), 1);
 
         // The next window starts clean.
-        begin();
-        let fresh = finish();
+        let fresh = Recorder::begin().finish();
         assert_eq!(fresh.counter("rule.leaf.zz"), None);
         assert!(fresh.hist("sim.combo_candidates").is_none());
     }
 
     #[test]
-    fn labelled_adds_are_gated_off() {
-        let _g = lock(&SERIAL);
-        ENABLED.store(false, Ordering::Relaxed);
-        add_labelled("rule.leaf.off", 7);
-        record_hist("off.hist", Class::Deterministic, 1);
-        assert_eq!(get_labelled("rule.leaf.off"), None);
+    fn concurrent_windows_are_isolated() {
+        // Two windows open at once on two threads, each fanning out to a
+        // worker of its own: each report holds exactly its own rows.
+        let both_open = Arc::new(std::sync::Barrier::new(2));
+        let run = |n: u64| {
+            let both_open = both_open.clone();
+            std::thread::spawn(move || {
+                let rec = Recorder::begin();
+                both_open.wait();
+                {
+                    let _root = span("campaign");
+                    let ctx = current();
+                    std::thread::scope(|s| {
+                        s.spawn(|| {
+                            let _a = adopt(ctx);
+                            let _w = span_idx("work-item", n);
+                            add(Counter::SimCandidates, n);
+                            add_labelled("rule.leaf.x", n);
+                        });
+                    });
+                }
+                rec.finish()
+            })
+        };
+        let (a, b) = (run(3), run(5));
+        for (report, n) in [(a.join().unwrap(), 3), (b.join().unwrap(), 5)] {
+            assert_eq!(report.counter("sim.candidates"), Some(n));
+            assert_eq!(report.counter("rule.leaf.x"), Some(n));
+            assert_eq!(report.spans.len(), 2, "{:?}", report.spans);
+            assert_eq!(report.spans[1].key, n.to_string());
+        }
     }
 
     #[test]
     fn finish_derives_phase_latency_histograms_from_spans() {
-        let _g = lock(&SERIAL);
-        begin();
+        let rec = Recorder::begin();
         {
             let _root = span("campaign");
             let _a = span_idx("combo", 0);
@@ -1369,7 +1405,7 @@ mod tests {
         {
             let _root2 = span("campaign");
         }
-        let report = finish();
+        let report = rec.finish();
         let camp = report.hist("phase.campaign").unwrap();
         assert_eq!(camp.count(), 2);
         assert_eq!(report.hist("phase.combo").unwrap().count(), 1);
@@ -1388,7 +1424,6 @@ mod tests {
 
     #[test]
     fn local_metrics_are_per_thread_and_ungated() {
-        ENABLED.store(false, Ordering::Relaxed);
         let base = local_get(LocalMetric::FullTraversals);
         local_add(LocalMetric::FullTraversals, 2);
         assert_eq!(local_get(LocalMetric::FullTraversals), base + 2);

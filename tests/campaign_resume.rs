@@ -12,12 +12,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use telechat_compiler::{CompilerFamily, CompilerId, OptLevel, Target};
 use telechat_repro::common::{Arch, Error};
-use telechat_repro::core::fault::{self, EngineFault, FaultAction, FaultLeg};
+use telechat_repro::core::fault::{EngineFault, EngineFaults, FaultAction, FaultLeg};
 use telechat_repro::core::journal::profile_fingerprint;
 use telechat_repro::core::persist::{MemBackend, PersistStore};
 use telechat_repro::core::{
     campaign_fingerprint, merge_journals, run_campaign, CampaignJournal, CampaignResult,
-    CampaignSpec, ItemKey, PipelineConfig, RetryPolicy, ShardSpec,
+    CampaignSpec, ItemKey, PipelineConfig, ShardSpec,
 };
 use telechat_repro::litmus::{parse_c11, LitmusTest};
 
@@ -64,18 +64,6 @@ P1 (atomic_int* x, atomic_int* y) {
 }
 exists (P0:r0=1 /\ P1:r0=1)
 "#;
-
-/// The fault registry is process-global: the retry tests serialise on this
-/// and disarm via a drop guard, as in `tests/failure_isolation.rs`.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-struct Disarm;
-
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        fault::disarm_all();
-    }
-}
 
 fn suite(texts: &[&str]) -> Vec<LitmusTest> {
     texts.iter().map(|s| parse_c11(s).unwrap()).collect()
@@ -257,10 +245,6 @@ fn resume_matrix_campaign_and_sim_threads_cold_and_warm_store() {
 
 #[test]
 fn supervised_retries_back_off_on_the_injected_clock() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB, LB_FENCES]);
     let config = PipelineConfig::default();
     let mut spec = small_spec(1);
@@ -269,17 +253,19 @@ fn supervised_retries_back_off_on_the_injected_clock() {
 
     // Two consecutive transient failures on SB's target leg: the item
     // needs the initial attempt plus two supervised retries to complete.
-    fault::arm(EngineFault {
+    let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
+    let recorded = sleeps.clone();
+    let faults = EngineFaults::new().with_retries(4, Duration::from_secs(30), move |d| {
+        recorded.lock().unwrap().push(d)
+    });
+    faults.arm(EngineFault {
         leg: FaultLeg::Target,
         test_contains: "SB".into(),
         action: FaultAction::Panic,
         fires: 2,
         transient: true,
     });
-    let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-    let recorded = sleeps.clone();
-    spec.retry = RetryPolicy::new(4, Duration::from_secs(30))
-        .with_sleeper(move |d| recorded.lock().unwrap().push(d));
+    spec.faults = Some(faults);
     let started = Instant::now();
     let r = run_campaign(&tests, &spec, &config).unwrap();
     assert!(
@@ -296,10 +282,6 @@ fn supervised_retries_back_off_on_the_injected_clock() {
 
 #[test]
 fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB, LB_FENCES]);
     let config = PipelineConfig::default();
     let mut clean_spec = small_spec(1);
@@ -312,7 +294,8 @@ fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
     // escalates to the typed permanent failure instead of retrying
     // forever, and the failure is fault-class — never journaled.
     assert!(Error::RetriesExhausted { attempts: 2 }.is_fault());
-    fault::arm(EngineFault {
+    let faults = EngineFaults::new().with_retries(2, Duration::ZERO, std::thread::sleep);
+    faults.arm(EngineFault {
         leg: FaultLeg::Target,
         test_contains: "SB".into(),
         action: FaultAction::Panic,
@@ -321,7 +304,7 @@ fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
     });
     let mem = MemBackend::new();
     let mut spec = clean_spec.clone();
-    spec.retry = RetryPolicy::new(2, Duration::ZERO);
+    spec.faults = Some(faults);
     spec.journal = Some(open_journal(&mem, fp, ShardSpec::whole()));
     let r = run_campaign(&tests, &spec, &config).unwrap();
     assert_eq!(r.cells[&key].errors, baseline.cells[&key].errors + 1);
@@ -336,7 +319,6 @@ fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
     // Resume after the (transient) infrastructure fault cleared: the
     // escalated item recomputes cleanly and the campaign heals to the
     // unfaulted baseline — an `Error` cell is never replayed from the log.
-    fault::disarm_all();
     let journal = open_journal(&mem, fp, ShardSpec::whole());
     assert_eq!(journal.len(), baseline.compiled_tests - 1);
     let mut spec = clean_spec.clone();

@@ -3,18 +3,19 @@
 //! campaign completes, items parked on a poisoned gate are handed back (a
 //! poisoned gate never becomes a hang), transient faults retry exactly
 //! once, and a stalled leg overrunning [`SimConfig::deadline`] becomes a
-//! typed error cell instead of wedging the campaign.
+//! typed error cell instead of wedging the campaign — cut short at the
+//! deadline, never cached, and never left running behind it.
 //!
-//! The fault registry is process-global, so every test here serialises on
-//! one mutex and disarms via a drop guard — a failing assertion cannot
-//! leak an armed fault into the next test.
+//! Every test arms its own [`EngineFaults`] plan on its own campaign, so
+//! the tests run in parallel without seeing each other's faults.
 
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use telechat_repro::common::Arch;
-use telechat_repro::core::fault::{self, EngineFault, FaultAction, FaultLeg};
-use telechat_repro::core::{run_campaign, CampaignResult, CampaignSpec, PipelineConfig};
+use telechat_repro::core::fault::{EngineFault, EngineFaults, FaultAction, FaultLeg};
+use telechat_repro::core::{
+    run_campaign, run_campaign_source, CampaignCell, CampaignResult, CampaignSpec, PipelineConfig,
+};
 use telechat_repro::litmus::{parse_c11, LitmusTest};
 use telechat_compiler::{CompilerFamily, CompilerId, OptLevel, Target};
 
@@ -62,14 +63,24 @@ P1 (atomic_int* x, atomic_int* y) {
 exists (P0:r0=1 /\ P1:r0=1)
 "#;
 
-static SERIAL: Mutex<()> = Mutex::new(());
+/// A plan with one fault armed on the `SB` test.
+fn plan(leg: FaultLeg, action: FaultAction, fires: u32, transient: bool) -> EngineFaults {
+    let faults = EngineFaults::new();
+    faults.arm(EngineFault {
+        leg,
+        test_contains: "SB".into(),
+        action,
+        fires,
+        transient,
+    });
+    faults
+}
 
-/// Disarms the global fault registry when dropped.
-struct Disarm;
-
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        fault::disarm_all();
+/// `spec` running under `faults`.
+fn faulted(faults: &EngineFaults, spec: CampaignSpec) -> CampaignSpec {
+    CampaignSpec {
+        faults: Some(faults.clone()),
+        ..spec
     }
 }
 
@@ -121,16 +132,12 @@ fn run_bounded(
 /// True if the given fault is still armed (probed by firing it from under
 /// `catch_unwind`); used to prove an armed panic actually fired — and
 /// burned — inside the campaign rather than the test passing vacuously.
-fn panic_still_armed(leg: FaultLeg, name: &str) -> bool {
-    std::panic::catch_unwind(|| fault::fire(leg, name)).is_err()
+fn panic_still_armed(faults: &EngineFaults, leg: FaultLeg, name: &str) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faults.fire(leg, name, None))).is_err()
 }
 
 #[test]
 fn lead_panic_in_the_source_leg_wakes_followers_and_the_campaign_heals() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
     let both = vec![CompilerId::llvm(11), CompilerId::gcc(10)];
     let o23 = vec![OptLevel::O2, OptLevel::O3];
@@ -141,16 +148,10 @@ fn lead_panic_in_the_source_leg_wakes_followers_and_the_campaign_heals() {
     // The lead work item's warm-up is the first source-leg compute for the
     // test, taken inside `Striped::get_or_compute` — the panic poisons the
     // shared gate while the followers are queued behind it.
-    fault::arm(EngineFault {
-        leg: FaultLeg::Source,
-        test_contains: "SB".into(),
-        action: FaultAction::Panic,
-        fires: 1,
-        transient: false,
-    });
-    let r = run_bounded(tests, spec(4, both, o23), config);
+    let faults = plan(FaultLeg::Source, FaultAction::Panic, 1, false);
+    let r = run_bounded(tests, faulted(&faults, spec(4, both, o23)), config);
     assert!(
-        !panic_still_armed(FaultLeg::Source, "SB"),
+        !panic_still_armed(&faults, FaultLeg::Source, "SB"),
         "the armed fault must have fired inside the campaign"
     );
     // The poisoned entry is retried by the next claimant (the fault is
@@ -162,10 +163,6 @@ fn lead_panic_in_the_source_leg_wakes_followers_and_the_campaign_heals() {
 
 #[test]
 fn a_non_transient_panic_is_one_typed_error_cell_not_a_campaign_failure() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB, LB_FENCES]);
     let one = spec(1, vec![CompilerId::llvm(11)], vec![OptLevel::O2]);
     let config = PipelineConfig::default();
@@ -173,15 +170,9 @@ fn a_non_transient_panic_is_one_typed_error_cell_not_a_campaign_failure() {
     let key = (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O2);
     assert_eq!(baseline.cells[&key].errors, 0);
 
-    fault::arm(EngineFault {
-        leg: FaultLeg::Target,
-        test_contains: "SB".into(),
-        action: FaultAction::Panic,
-        fires: 1,
-        transient: false,
-    });
-    let r = run_campaign(&tests, &one, &config).unwrap();
-    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    let faults = plan(FaultLeg::Target, FaultAction::Panic, 1, false);
+    let r = run_campaign(&tests, &faulted(&faults, one), &config).unwrap();
+    assert!(!panic_still_armed(&faults, FaultLeg::Target, "SB"));
     let cell = &r.cells[&key];
     let base = &baseline.cells[&key];
     assert_eq!(cell.errors, 1, "the panicked item is a typed error");
@@ -199,10 +190,6 @@ fn a_non_transient_panic_is_one_typed_error_cell_not_a_campaign_failure() {
 
 #[test]
 fn a_transient_fault_is_retried_once_and_leaves_no_trace() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB, LB_FENCES]);
     let one = spec(1, vec![CompilerId::llvm(11)], vec![OptLevel::O2]);
     let config = PipelineConfig::default();
@@ -211,15 +198,9 @@ fn a_transient_fault_is_retried_once_and_leaves_no_trace() {
     // The target leg fires under the profile-derived test name
     // (`clang-11-O2-AArch64.SB`); the retry classifier matches it back to
     // the campaign's source name by containment.
-    fault::arm(EngineFault {
-        leg: FaultLeg::Target,
-        test_contains: "SB".into(),
-        action: FaultAction::Panic,
-        fires: 1,
-        transient: true,
-    });
-    let r = run_campaign(&tests, &one, &config).unwrap();
-    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    let faults = plan(FaultLeg::Target, FaultAction::Panic, 1, true);
+    let r = run_campaign(&tests, &faulted(&faults, one), &config).unwrap();
+    assert!(!panic_still_armed(&faults, FaultLeg::Target, "SB"));
     assert_eq!(
         fingerprint(&r),
         fingerprint(&baseline),
@@ -227,17 +208,13 @@ fn a_transient_fault_is_retried_once_and_leaves_no_trace() {
     );
     assert_eq!(total_errors(&r), 0);
     assert!(
-        !fault::take_transient("SB"),
+        !faults.take_transient("SB"),
         "the transient record is consumed by the retry, not leaked"
     );
 }
 
 #[test]
 fn a_stalled_leg_overruns_the_deadline_into_a_typed_error() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB]);
     let one = spec(1, vec![CompilerId::llvm(11)], vec![OptLevel::O2]);
     let baseline = run_campaign(&tests, &one, &PipelineConfig::default()).unwrap();
@@ -250,19 +227,13 @@ fn a_stalled_leg_overruns_the_deadline_into_a_typed_error() {
     assert_eq!(fingerprint(&generous), fingerprint(&baseline));
     assert_eq!(total_errors(&generous), 0);
 
-    // A 5 s stall against a 300 ms deadline: the watchdog abandons the
-    // item well before the stall clears and the campaign moves on.
+    // A 5 s stall against a 300 ms deadline: the stall is cut short at
+    // the deadline, well before it would clear, and the campaign moves on.
     let stall = Duration::from_secs(5);
-    fault::arm(EngineFault {
-        leg: FaultLeg::Target,
-        test_contains: "SB".into(),
-        action: FaultAction::Stall(stall),
-        fires: 1,
-        transient: false,
-    });
+    let faults = plan(FaultLeg::Target, FaultAction::Stall(stall), 1, false);
     config.sim.deadline = Some(Duration::from_millis(300));
     let started = Instant::now();
-    let r = run_campaign(&tests, &one, &config).unwrap();
+    let r = run_campaign(&tests, &faulted(&faults, one), &config).unwrap();
     assert!(
         started.elapsed() < stall,
         "the campaign must not wait out the stall ({:?})",
@@ -276,10 +247,6 @@ fn a_stalled_leg_overruns_the_deadline_into_a_typed_error() {
 
 #[test]
 fn a_panicking_target_leg_hands_back_the_items_parked_on_it() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     // Every profile of one architecture: most of a test's 9 profiles
     // extract identical code and share one target leg.
     let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
@@ -289,32 +256,31 @@ fn a_panicking_target_leg_hands_back_the_items_parked_on_it() {
     // The first `SB` target leg computed stalls, so that the other workers
     // find it in flight and park on it, then panics and poisons its gate.
     let arm = |transient| {
-        fault::arm(EngineFault {
-            leg: FaultLeg::Target,
-            test_contains: "SB".into(),
-            action: FaultAction::PanicAfter(Duration::from_millis(300)),
-            fires: 1,
+        plan(
+            FaultLeg::Target,
+            FaultAction::PanicAfter(Duration::from_millis(300)),
+            1,
             transient,
-        })
+        )
     };
 
     // The blocking driver: a single worker never finds a leg in flight on
     // another worker, so it never parks.
-    arm(true);
-    let blocking = run_campaign(&tests, &sweep(1), &config).unwrap();
-    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    let faults = arm(true);
+    let blocking = run_campaign(&tests, &faulted(&faults, sweep(1)), &config).unwrap();
+    assert!(!panic_still_armed(&faults, FaultLeg::Target, "SB"));
     assert_eq!(total_errors(&blocking), 0, "the transient fault healed");
 
     // Four workers park on the stalled leg. The poisoned gate hands them
     // back, one of them recomputes, the panicked item retries, and the
     // campaign terminates with the blocking driver's cells.
-    arm(true);
+    let faults = arm(true);
     let parking = CampaignSpec {
         metrics: true,
-        ..sweep(4)
+        ..faulted(&faults, sweep(4))
     };
     let r = run_bounded(tests.clone(), parking, config.clone());
-    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    assert!(!panic_still_armed(&faults, FaultLeg::Target, "SB"));
     assert_eq!(fingerprint(&r), fingerprint(&blocking));
     let obs = r.obs.as_ref().unwrap();
     assert!(
@@ -325,9 +291,9 @@ fn a_panicking_target_leg_hands_back_the_items_parked_on_it() {
 
     // Without the retry, the panic costs exactly the item that computed
     // the leg: every parked item is handed back and classified.
-    arm(false);
-    let r = run_bounded(tests, sweep(4), config);
-    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
+    let faults = arm(false);
+    let r = run_bounded(tests, faulted(&faults, sweep(4)), config);
+    assert!(!panic_still_armed(&faults, FaultLeg::Target, "SB"));
     assert_eq!(total_errors(&r), 1, "one typed error cell");
     for (key, cell) in &blocking.cells {
         assert_eq!(r.cells[key].total(), cell.total(), "{key:?}");
@@ -336,10 +302,6 @@ fn a_panicking_target_leg_hands_back_the_items_parked_on_it() {
 
 #[test]
 fn items_parked_on_an_abandoned_leg_fail_at_the_deadline_instead_of_hanging() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
     let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
     let both = vec![CompilerId::llvm(11), CompilerId::gcc(10)];
     let sweep = CampaignSpec {
@@ -351,18 +313,14 @@ fn items_parked_on_an_abandoned_leg_fail_at_the_deadline_instead_of_hanging() {
     let baseline = run_campaign(&tests, &sweep, &config).unwrap();
     assert_eq!(total_errors(&baseline), 0);
 
-    // The watchdog abandons the item computing the stalled `SB` leg; the
-    // items parked on that leg's gate must not wait for the stall to clear.
+    // Every `SB` target-leg computation stalls: each is cut short at its
+    // own item's deadline, which hands the items parked on it back to
+    // recompute — and stall again — until they too are past their
+    // deadlines. None of them waits for a stall to clear.
     let stall = Duration::from_secs(5);
-    fault::arm(EngineFault {
-        leg: FaultLeg::Target,
-        test_contains: "SB".into(),
-        action: FaultAction::Stall(stall),
-        fires: 1,
-        transient: false,
-    });
+    let faults = plan(FaultLeg::Target, FaultAction::Stall(stall), u32::MAX, false);
     let started = Instant::now();
-    let r = run_bounded(tests, sweep, config);
+    let r = run_bounded(tests, faulted(&faults, sweep), config);
     assert!(
         started.elapsed() < stall,
         "the campaign must not wait out the stall ({:?})",
@@ -378,4 +336,61 @@ fn items_parked_on_an_abandoned_leg_fail_at_the_deadline_instead_of_hanging() {
     for (key, cell) in &baseline.cells {
         assert_eq!(r.cells[key].total(), cell.total(), "{key:?}");
     }
+}
+
+#[test]
+fn a_deadline_cut_leg_is_never_cached_and_a_later_item_recomputes_it() {
+    // `SB` compiles to the same code at clang -O2 and -O3, so the two
+    // items share one target leg. One worker runs the -O2 lead first.
+    let tests = suite(&[SB]);
+    let o2 = (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O2);
+    let o3 = (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O3);
+    let sweep = spec(1, vec![CompilerId::llvm(11)], vec![OptLevel::O2, OptLevel::O3]);
+    let mut config = PipelineConfig::default();
+    config.sim.deadline = Some(Duration::from_millis(300));
+    let baseline = run_campaign(&tests, &sweep, &config).unwrap();
+    assert_eq!(
+        (baseline.cache.target_misses, baseline.cache.target_hits),
+        (1, 1),
+        "the two items share one target leg"
+    );
+
+    // The lead's computation of the shared leg stalls past its deadline.
+    let faults = plan(FaultLeg::Target, FaultAction::Stall(Duration::from_secs(5)), 1, false);
+    let r = run_campaign(&tests, &faulted(&faults, sweep), &config).unwrap();
+    // Only the lead's cell is an error: the -O3 item did not replay the
+    // cut leg from the cache but recomputed it, with its real result.
+    assert_eq!(
+        r.cells[&o2],
+        CampaignCell {
+            errors: 1,
+            ..CampaignCell::default()
+        }
+    );
+    assert_eq!(r.cells[&o3], baseline.cells[&o3]);
+    assert_eq!(
+        (r.cache.target_misses, r.cache.target_hits),
+        (2, 0),
+        "the cut leg was computed twice and never served from the cache"
+    );
+}
+
+#[test]
+fn nothing_outlives_a_deadline_cut() {
+    // The lead item's source leg stalls for 5 s against a 300 ms deadline;
+    // the follower parked on that leg is handed back when the stall is cut
+    // and recomputes it.
+    let tests = suite(&[SB]);
+    let sweep = spec(2, vec![CompilerId::llvm(11)], vec![OptLevel::O2, OptLevel::O3]);
+    let mut config = PipelineConfig::default();
+    config.sim.deadline = Some(Duration::from_millis(300));
+    let stall = Duration::from_secs(5);
+    let faults = plan(FaultLeg::Source, FaultAction::Stall(stall), 1, false);
+    let started = Instant::now();
+    let r = run_campaign_source(&mut tests.into_iter(), &faulted(&faults, sweep), &config).unwrap();
+    let took = started.elapsed();
+    assert_eq!(faults.sleeping(), 0, "no stalled leg is still running");
+    assert!(took < stall / 2, "returned at the deadline, not the stall ({took:?})");
+    let errors: usize = r.cells.values().map(|c| c.errors).sum();
+    assert_eq!(errors, 1, "only the item whose leg was cut fails: {:?}", r.cells);
 }

@@ -1,24 +1,26 @@
-//! Observability invariants (PR 8): instrumentation off is semantically
+//! Observability invariants: instrumentation off is semantically
 //! invisible, the deterministic (`count`-class) metric totals are
 //! byte-identical across every campaign × simulation thread combination,
-//! and the JSONL trace of a seeded campaign round-trips a schema check
-//! with a well-nested single-root span tree.
+//! the JSONL trace of a seeded campaign round-trips a schema check with a
+//! well-nested single-root span tree, and campaigns running side by side
+//! in one process each record exactly what they record alone.
 //!
-//! The obs registry is process-global, so every test in this binary takes
-//! [`SERIAL`] first — campaigns with `metrics: true` must not overlap.
+//! Every campaign records into its own recorder, so these tests run in
+//! parallel.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::sync::Barrier;
 
+use telechat_repro::cat::{model_names, ModelRegistry};
 use telechat_repro::common::Arch;
+use telechat_repro::core::fault::{EngineFault, EngineFaults, FaultAction, FaultLeg};
 use telechat_repro::core::{obs, persist};
 use telechat_repro::core::{
-    run_campaign_source, CampaignResult, CampaignSpec, PersistStore, PipelineConfig,
+    run_campaign_source, CampaignResult, CampaignSpec, PersistStore, PipelineConfig, TestSource,
 };
+use telechat_repro::litmus::LitmusTest;
 use telechat_repro::fuzz::{FuzzConfig, FuzzSource};
 use telechat_compiler::{CompilerId, OptLevel, Target};
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn spec(threads: usize, metrics: bool) -> CampaignSpec {
     CampaignSpec {
@@ -58,7 +60,6 @@ fn fingerprint(r: &CampaignResult) -> (String, Vec<(String, String)>, usize, usi
 
 #[test]
 fn instrumentation_off_is_semantically_invisible() {
-    let _guard = SERIAL.lock().unwrap();
     let config = config(1);
     let off = run(7, 16, &spec(1, false), &config);
     assert!(off.obs.is_none(), "metrics: false must not attach a report");
@@ -89,7 +90,6 @@ fn instrumentation_off_is_semantically_invisible() {
 
 #[test]
 fn deterministic_totals_invariant_across_thread_matrix() {
-    let _guard = SERIAL.lock().unwrap();
     // (campaign threads, sim threads). The campaign driver forces sim
     // threads to 1 when it is itself parallel, so the interesting axes
     // are campaign 1/4 and sim 1/4 under a serial campaign.
@@ -131,7 +131,6 @@ fn obs_fingerprint(r: &CampaignResult) -> (Vec<(String, u64)>, String) {
 
 #[test]
 fn attribution_and_histograms_invariant_across_configs() {
-    let _guard = SERIAL.lock().unwrap();
     let base = run(7, 24, &spec(1, true), &config(1));
     let fp0 = obs_fingerprint(&base);
     let (counters, hists) = &fp0;
@@ -200,7 +199,6 @@ fn attribution_and_histograms_invariant_across_configs() {
 
 #[test]
 fn jsonl_trace_round_trips_and_spans_nest() {
-    let _guard = SERIAL.lock().unwrap();
     let r = run(7, 64, &spec(2, true), &config(1));
     let report = r.obs.as_ref().unwrap();
     let mut bytes = Vec::new();
@@ -280,4 +278,91 @@ fn jsonl_trace_round_trips_and_spans_nest() {
     let items: Vec<_> = spans.iter().filter(|s| s.name == "work-item").collect();
     assert_eq!(items.len(), r.compiled_tests);
     assert!(items.iter().all(|s| s.key.contains(':')));
+}
+
+/// A fuzz stream that waits at a barrier before yielding its first test.
+struct Rendezvous<'a> {
+    fuzz: FuzzSource,
+    barrier: Option<&'a Barrier>,
+}
+
+impl TestSource for Rendezvous<'_> {
+    fn next_test(&mut self) -> Option<LitmusTest> {
+        if let Some(barrier) = self.barrier.take() {
+            barrier.wait();
+        }
+        self.fuzz.next()
+    }
+}
+
+/// Everything a campaign reports deterministically: cells, positives, and
+/// every `count`-class row — telemetry counters, cache traffic — plus the
+/// `count`-class histograms.
+fn count_rows(r: &CampaignResult) -> (String, Vec<(String, String)>, Vec<String>, String) {
+    let rows = r
+        .metric_rows()
+        .into_iter()
+        .filter(|row| row.kind == "count")
+        .map(|row| format!("{} = {}", row.name, row.value))
+        .collect();
+    let hists = r.obs.as_ref().expect("metrics on").deterministic_hists();
+    (
+        format!("{:?}", r.cells),
+        r.positive_tests.clone(),
+        rows,
+        format!("{hists:?}"),
+    )
+}
+
+#[test]
+fn concurrent_campaigns_each_report_exactly_their_solo_run() {
+    // Model loads are process-class (the registry is shared by design):
+    // stage them so neither campaign charges the other's first load.
+    for name in model_names() {
+        ModelRegistry::global().bundled(name).unwrap();
+    }
+    // Campaign B carries a transient fault on its first target leg, which
+    // its supervised retry absorbs.
+    let faulted = || {
+        let faults = EngineFaults::new();
+        faults.arm(EngineFault {
+            leg: FaultLeg::Target,
+            test_contains: String::new(),
+            action: FaultAction::Panic,
+            fires: 1,
+            transient: true,
+        });
+        CampaignSpec {
+            faults: Some(faults),
+            ..spec(2, true)
+        }
+    };
+    let solo = |seed, spec: CampaignSpec| count_rows(&run(seed, 24, &spec, &config(1)));
+    let (solo_a, solo_b) = (solo(7, spec(2, true)), solo(11, faulted()));
+    // Each campaign waits, before pulling its first test, until the other
+    // one has started too: both windows are open at once.
+    let both_started = Barrier::new(2);
+    let together = |seed, spec: CampaignSpec| {
+        let mut source = Rendezvous {
+            fuzz: FuzzSource::new(&FuzzConfig::smoke(seed, 24)),
+            barrier: Some(&both_started),
+        };
+        run_campaign_source(&mut source, &spec, &config(1)).unwrap()
+    };
+    let (together_a, together_b) = std::thread::scope(|s| {
+        let a = s.spawn(|| together(7, spec(2, true)));
+        let b = s.spawn(|| together(11, faulted()));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(
+        together_b.obs.as_ref().unwrap().counter("campaign.retries") == Some(1),
+        "B's fault fired in B and was retried there"
+    );
+    assert_eq!(
+        together_a.obs.as_ref().unwrap().counter("campaign.retries"),
+        Some(0),
+        "B's fault never fired in A"
+    );
+    assert_eq!(count_rows(&together_a), solo_a, "campaign A");
+    assert_eq!(count_rows(&together_b), solo_b, "campaign B");
 }
