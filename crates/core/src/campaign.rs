@@ -9,8 +9,8 @@
 
 use crate::cache::{lock_unpoisoned, CacheStats, Gate, SimCache, Waker};
 use crate::fault::EngineFaults;
-use crate::journal::{CampaignJournal, ItemKey, ItemOutcome, ItemRecord, JournalStats, ShardSpec};
-use crate::persist::PersistStore;
+use crate::journal::{CampaignJournal, ItemKey, ItemOutcome, ItemRecord, ShardSpec};
+use crate::persist::{LogStats, PersistStore};
 use crate::pipeline::{Continuation, LegRun, PipelineConfig, Telechat, TestReport, TestVerdict};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -213,10 +213,10 @@ pub struct CampaignResult {
     /// exactly once.
     pub cache: CacheStats,
     /// Persistent-store traffic, when a store was attached.
-    pub store: Option<crate::persist::StoreStats>,
+    pub store: Option<LogStats>,
     /// Work-item journal traffic, when a journal was attached: recovered/
     /// replayed/appended item counts and the degraded-mode flags.
-    pub journal: Option<JournalStats>,
+    pub journal: Option<LogStats>,
     /// The telemetry snapshot, when [`CampaignSpec::metrics`] was set:
     /// counters, per-phase wall time and the normalised span trace.
     pub obs: Option<telechat_obs::ObsReport>,
@@ -301,34 +301,22 @@ impl CampaignResult {
                 ratio(c.target_hits, c.target_hits + c.target_misses),
             ));
         }
-        if let Some(s) = &self.store {
-            rows.push(count("store.recovered", s.recovered));
-            rows.push(count("store.appends", s.appends));
-            rows.push(count("store.write_errors", s.write_errors));
-            if s.dropped_bytes > 0 {
-                rows.push(count("store.dropped_bytes", s.dropped_bytes));
+        // The store's replays are already the `cache.disk.hits` row.
+        for (log, stats) in [("store", &self.store), ("journal", &self.journal)] {
+            let Some(s) = stats else { continue };
+            let row = |field: &str, value: u64| count(&format!("{log}.{field}"), value);
+            rows.push(row("recovered", s.recovered));
+            if log == "journal" {
+                rows.push(row("replayed", s.replayed));
             }
-            if s.reset {
-                rows.push(count("store.reset", 1));
-            }
-            if s.read_only {
-                rows.push(count("store.read_only", 1));
-            }
-        }
-        if let Some(j) = &self.journal {
-            rows.push(count("journal.recovered", j.recovered));
-            rows.push(count("journal.replayed", j.replayed));
-            rows.push(count("journal.appends", j.appends));
-            rows.push(count("journal.write_errors", j.write_errors));
-            if j.dropped_bytes > 0 {
-                rows.push(count("journal.dropped_bytes", j.dropped_bytes));
-            }
-            if j.reset {
-                rows.push(count("journal.reset", 1));
-            }
-            if j.read_only {
-                rows.push(count("journal.read_only", 1));
-            }
+            rows.push(row("appends", s.appends));
+            rows.push(row("write_errors", s.write_errors));
+            let flagged = [
+                ("dropped_bytes", s.dropped_bytes),
+                ("reset", u64::from(s.reset)),
+                ("read_only", u64::from(s.read_only)),
+            ];
+            rows.extend(flagged.iter().filter(|f| f.1 > 0).map(|&(f, v)| row(f, v)));
         }
         rows
     }

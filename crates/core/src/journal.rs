@@ -11,18 +11,18 @@
 //!
 //! ```text
 //! header   := MAGIC(8) version(u32) campaign_fp(u64) shard_i(u32) shard_n(u32) cksum(u64)
-//! record   := len(u32) payload(len bytes) cksum(u64)      // persist.rs framing
+//! record   := len(u32) payload(len bytes) cksum(u64)
 //! payload  := 0 item | 1 summary
 //! item     := test(u128) profile(u64) arch(u8) family(u8) opt(u8) outcome(u8)
 //!             [test_name(str) profile_name(str)  when outcome = positive]
 //! summary  := source_tests(u64) compiled_tests(u64)       // appended on completion
 //! ```
 //!
-//! The framing, longest-valid-prefix recovery and degrade-don't-fail
-//! write path are shared with the leg store (`persist::frame_record`,
-//! `persist::scan_records`), so a torn append or bit-flipped tail costs
-//! exactly the damaged records and a corrupt journal can degrade to a
-//! recompute, never to wrong cells.
+//! The journal and the leg store run on one record-log engine (`log.rs`):
+//! the header check, record framing, longest-valid-prefix recovery and
+//! degrade-don't-fail write path are the same code, so a torn append or
+//! bit-flipped tail costs exactly the damaged records and a corrupt journal
+//! can degrade to a recompute, never to wrong cells.
 //!
 //! # Identity
 //!
@@ -53,31 +53,30 @@
 //! store, a resumed campaign retries them from scratch, so a transient
 //! infrastructure fault heals on resume instead of being replayed
 //! forever. Journal write failures degrade to a read-only session
-//! (counted in [`JournalStats`], surfaced once on stderr); the campaign
+//! (counted in [`LogStats`], surfaced once on stderr); the campaign
 //! itself never fails because its journal could not be written.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use telechat_common::{fnv1a64, Arch, Error, Result};
 use telechat_compiler::{CompilerFamily, OptLevel};
 
 use crate::campaign::{CampaignResult, CampaignSpec};
 use crate::cache::sim_config_fingerprint;
-use crate::persist::{
-    frame_record, put_str, put_u32, put_u64, scan_records, warn_degraded, Dec, FileBackend,
-    StoreBackend,
-};
+use crate::log::{LogFormat, RecordLog, Stamp, STAMP_LEN};
+use crate::persist::{put_str, put_u64, Dec, FileBackend, LogStats, StoreBackend};
 use crate::pipeline::PipelineConfig;
 
-/// Magic bytes identifying a Téléchat campaign journal.
-const MAGIC: &[u8; 8] = b"TCHJOURN";
 /// On-disk format version (bump on layout changes).
 const FORMAT_VERSION: u32 = 1;
-/// Header size: magic + version + campaign fp + shard i/n + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 8;
+static FORMAT: LogFormat = LogFormat {
+    what: "journal",
+    magic: b"TCHJOURN",
+    version: FORMAT_VERSION,
+};
 
 // ---------------------------------------------------------------------------
 // Keys, shards, outcomes.
@@ -225,68 +224,36 @@ pub fn campaign_fingerprint(
 // Codec.
 // ---------------------------------------------------------------------------
 
-fn arch_code(a: Arch) -> u8 {
-    match a {
-        Arch::C11 => 0,
-        Arch::AArch64 => 1,
-        Arch::Armv7 => 2,
-        Arch::X86_64 => 3,
-        Arch::RiscV => 4,
-        Arch::Ppc => 5,
-        Arch::Mips => 6,
-    }
+/// Defines a type's one-byte on-disk code in both directions from one
+/// table, so the encoder and the decoder cannot disagree.
+macro_rules! byte_code {
+    ($ty:ty, $to:ident, $from:ident, { $($variant:path => $code:literal),+ $(,)? }) => {
+        fn $to(v: $ty) -> u8 {
+            match v {
+                $($variant => $code,)+
+            }
+        }
+
+        fn $from(code: u8) -> Option<$ty> {
+            Some(match code {
+                $($code => $variant,)+
+                _ => return None,
+            })
+        }
+    };
 }
 
-fn arch_from(code: u8) -> Option<Arch> {
-    Some(match code {
-        0 => Arch::C11,
-        1 => Arch::AArch64,
-        2 => Arch::Armv7,
-        3 => Arch::X86_64,
-        4 => Arch::RiscV,
-        5 => Arch::Ppc,
-        6 => Arch::Mips,
-        _ => return None,
-    })
-}
-
-fn family_code(f: CompilerFamily) -> u8 {
-    match f {
-        CompilerFamily::Llvm => 0,
-        CompilerFamily::Gcc => 1,
-    }
-}
-
-fn family_from(code: u8) -> Option<CompilerFamily> {
-    Some(match code {
-        0 => CompilerFamily::Llvm,
-        1 => CompilerFamily::Gcc,
-        _ => return None,
-    })
-}
-
-fn opt_code(o: OptLevel) -> u8 {
-    match o {
-        OptLevel::O0 => 0,
-        OptLevel::O1 => 1,
-        OptLevel::O2 => 2,
-        OptLevel::O3 => 3,
-        OptLevel::Ofast => 4,
-        OptLevel::Og => 5,
-    }
-}
-
-fn opt_from(code: u8) -> Option<OptLevel> {
-    Some(match code {
-        0 => OptLevel::O0,
-        1 => OptLevel::O1,
-        2 => OptLevel::O2,
-        3 => OptLevel::O3,
-        4 => OptLevel::Ofast,
-        5 => OptLevel::Og,
-        _ => return None,
-    })
-}
+byte_code!(Arch, arch_code, arch_from, {
+    Arch::C11 => 0, Arch::AArch64 => 1, Arch::Armv7 => 2, Arch::X86_64 => 3,
+    Arch::RiscV => 4, Arch::Ppc => 5, Arch::Mips => 6,
+});
+byte_code!(CompilerFamily, family_code, family_from, {
+    CompilerFamily::Llvm => 0, CompilerFamily::Gcc => 1,
+});
+byte_code!(OptLevel, opt_code, opt_from, {
+    OptLevel::O0 => 0, OptLevel::O1 => 1, OptLevel::O2 => 2,
+    OptLevel::O3 => 3, OptLevel::Ofast => 4, OptLevel::Og => 5,
+});
 
 /// What one journal record decodes to.
 enum Record {
@@ -328,15 +295,15 @@ fn encode_summary(source: u64, compiled: u64) -> Vec<u8> {
 fn decode_payload(payload: &[u8]) -> Option<Record> {
     let mut d = Dec::new(payload);
     let rec = match d.u8()? {
-        0 => {
-            let key = ItemKey {
+        0 => Record::Item(ItemRecord {
+            key: ItemKey {
                 test: d.u128()?,
                 profile: d.u64()?,
-            };
-            let arch = arch_from(d.u8()?)?;
-            let family = family_from(d.u8()?)?;
-            let opt = opt_from(d.u8()?)?;
-            let outcome = match d.u8()? {
+            },
+            arch: arch_from(d.u8()?)?,
+            family: family_from(d.u8()?)?,
+            opt: opt_from(d.u8()?)?,
+            outcome: match d.u8()? {
                 0 => ItemOutcome::Pass,
                 1 => ItemOutcome::Negative,
                 2 => ItemOutcome::Positive {
@@ -347,15 +314,8 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
                 4 => ItemOutcome::Racy,
                 5 => ItemOutcome::Error,
                 _ => return None,
-            };
-            Record::Item(ItemRecord {
-                key,
-                arch,
-                family,
-                opt,
-                outcome,
-            })
-        }
+            },
+        }),
         1 => Record::Summary {
             source: d.u64()?,
             compiled: d.u64()?,
@@ -365,83 +325,23 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
     d.done().then_some(rec)
 }
 
-fn encode_header(fingerprint: u64, shard: ShardSpec) -> Vec<u8> {
-    let mut h = Vec::with_capacity(HEADER_LEN);
-    h.extend_from_slice(MAGIC);
-    put_u32(&mut h, FORMAT_VERSION);
-    put_u64(&mut h, fingerprint);
-    put_u32(&mut h, shard.index);
-    put_u32(&mut h, shard.count);
-    let ck = fnv1a64(0, &h);
-    put_u64(&mut h, ck);
-    h
+/// The header stamp: campaign fingerprint, shard index, shard count.
+fn encode_stamp(fingerprint: u64, shard: ShardSpec) -> [u8; STAMP_LEN] {
+    let mut stamp = [0; STAMP_LEN];
+    stamp[..8].copy_from_slice(&fingerprint.to_le_bytes());
+    stamp[8..12].copy_from_slice(&shard.index.to_le_bytes());
+    stamp[12..].copy_from_slice(&shard.count.to_le_bytes());
+    stamp
 }
 
-/// Decodes a header's fingerprint and shard, when magic, version and
-/// checksum all hold.
-fn decode_header(image: &[u8]) -> Option<(u64, ShardSpec)> {
-    let header = image.get(..HEADER_LEN)?;
-    let (body, ck) = header.split_at(HEADER_LEN - 8);
-    if u64::from_le_bytes(ck.try_into().unwrap()) != fnv1a64(0, body) {
-        return None;
-    }
-    let mut d = Dec::new(body);
-    let magic = (0..8).map(|_| d.u8()).collect::<Option<Vec<u8>>>()?;
-    if magic != MAGIC || d.u32()? != FORMAT_VERSION {
-        return None;
-    }
-    let fingerprint = d.u64()?;
+fn decode_stamp(stamp: &[u8; STAMP_LEN]) -> (u64, ShardSpec) {
+    let u32_at = |i: usize| u32::from_le_bytes(stamp[i..i + 4].try_into().unwrap());
+    let fingerprint = u64::from_le_bytes(stamp[..8].try_into().unwrap());
     let shard = ShardSpec {
-        index: d.u32()?,
-        count: d.u32()?,
+        index: u32_at(8),
+        count: u32_at(12),
     };
-    (shard.count > 0 && shard.index < shard.count).then_some((fingerprint, shard))
-}
-
-// ---------------------------------------------------------------------------
-// Stats.
-// ---------------------------------------------------------------------------
-
-/// Counters describing one journal session: what recovery found, what has
-/// replayed and what has been appended since. Deterministic given the
-/// journal image and the work list — byte-identical across campaign and
-/// simulation thread counts (pinned by `tests/campaign_resume.rs`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Valid records recovered on open (items + summaries).
-    pub recovered: u64,
-    /// Bytes of damaged suffix dropped by recovery.
-    pub dropped_bytes: u64,
-    /// True if the header was missing/mismatched and the log was reset.
-    pub reset: bool,
-    /// Completed items served from the journal instead of recomputed.
-    pub replayed: u64,
-    /// Records appended since open.
-    pub appends: u64,
-    /// Failed appends (the completions stayed memory-only).
-    pub write_errors: u64,
-    /// True when the session degraded to read-only.
-    pub read_only: bool,
-}
-
-impl fmt::Display for JournalStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "journal: {} recovered, {} replayed, {} appended, {} write errors",
-            self.recovered, self.replayed, self.appends, self.write_errors
-        )?;
-        if self.dropped_bytes > 0 {
-            write!(f, ", {} damaged bytes dropped", self.dropped_bytes)?;
-        }
-        if self.reset {
-            write!(f, ", log reset (campaign mismatch)")?;
-        }
-        if self.read_only {
-            write!(f, ", read-only")?;
-        }
-        Ok(())
-    }
+    (fingerprint, shard)
 }
 
 // ---------------------------------------------------------------------------
@@ -451,21 +351,13 @@ impl fmt::Display for JournalStats {
 struct JournalState {
     index: HashMap<ItemKey, ItemRecord>,
     summary: Option<(u64, u64)>,
-    /// Length of the valid log prefix.
-    len: u64,
-    /// Cleared when the backing file can no longer be kept consistent;
-    /// completions then stay memory-only for this session.
-    writable: bool,
-    /// One-time degradation notice already emitted.
-    warned: bool,
-    stats: JournalStats,
+    log: RecordLog,
 }
 
 /// The campaign work-item completion journal. One instance per campaign
 /// (and per shard), shared across workers behind an `Arc`; see the module
 /// docs for format, identity and failure semantics.
 pub struct CampaignJournal {
-    backend: Box<dyn StoreBackend>,
     fingerprint: u64,
     shard: ShardSpec,
     state: Mutex<JournalState>,
@@ -473,18 +365,22 @@ pub struct CampaignJournal {
 
 impl fmt::Debug for CampaignJournal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = self.state();
         f.debug_struct("CampaignJournal")
             .field("fingerprint", &self.fingerprint)
             .field("shard", &self.shard)
             .field("items", &st.index.len())
             .field("sealed", &st.summary.is_some())
-            .field("writable", &st.writable)
+            .field("log", &st.log.stats())
             .finish()
     }
 }
 
 impl CampaignJournal {
+    fn state(&self) -> MutexGuard<'_, JournalState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Opens (or creates) the journal at `path` for the campaign
     /// identified by `fingerprint`, shard `shard`. An existing journal
     /// for a *different* campaign or shard is reset wholesale.
@@ -503,13 +399,14 @@ impl CampaignJournal {
         fingerprint: u64,
         shard: ShardSpec,
     ) -> Result<CampaignJournal> {
-        CampaignJournal::open_inner(backend, Some((fingerprint, shard)))
+        CampaignJournal::open_inner(backend, Stamp::Expect(encode_stamp(fingerprint, shard)))
     }
 
     /// Opens an existing journal, adopting the campaign fingerprint and
     /// shard stamped in its header — the `merge` path, which must accept
     /// journals without re-deriving their campaign. Unlike [`open`],
-    /// a missing or damaged header is a typed error, never a reset.
+    /// a missing or damaged header is a typed error, never a reset, and
+    /// the file is left untouched.
     ///
     /// [`open`]: CampaignJournal::open
     pub fn open_existing(path: impl Into<PathBuf>) -> Result<CampaignJournal> {
@@ -525,107 +422,43 @@ impl CampaignJournal {
         backend: Box<dyn StoreBackend>,
         name: &str,
     ) -> Result<CampaignJournal> {
-        CampaignJournal::open_inner(backend, None).and_then(|j| {
-            if j.stats().reset {
-                return Err(Error::Journal(format!(
-                    "{name}: missing or damaged journal header"
-                )));
-            }
-            Ok(j)
-        })
+        let valid_shard = |stamp: &[u8; STAMP_LEN]| {
+            let (_, shard) = decode_stamp(stamp);
+            shard.count > 0 && shard.index < shard.count
+        };
+        let j = CampaignJournal::open_inner(backend, Stamp::Adopt(valid_shard))?;
+        if j.stats().reset {
+            return Err(Error::Journal(format!(
+                "{name}: missing or damaged journal header"
+            )));
+        }
+        Ok(j)
     }
 
-    fn open_inner(
-        backend: Box<dyn StoreBackend>,
-        expect: Option<(u64, ShardSpec)>,
-    ) -> Result<CampaignJournal> {
-        let image = backend
-            .load()
-            .map_err(|e| Error::Io(format!("journal load: {e}")))?;
-
-        let decoded = decode_header(&image);
-        let (fingerprint, shard, header_ok) = match expect {
-            Some((fp, shard)) => (fp, shard, decoded == Some((fp, shard))),
-            None => match decoded {
-                // Adoption with no header to adopt: report via `reset`
-                // (open_existing turns it into a typed error).
-                None => (0, ShardSpec::whole(), false),
-                Some((fp, shard)) => (fp, shard, true),
-            },
-        };
-
-        let mut state = JournalState {
-            index: HashMap::new(),
-            summary: None,
-            len: 0,
-            writable: true,
-            warned: false,
-            stats: JournalStats::default(),
-        };
-
-        if header_ok {
-            let pos = scan_records(&image, HEADER_LEN, &mut |payload| {
-                match decode_payload(payload) {
-                    Some(Record::Item(rec)) => {
-                        state.index.insert(rec.key, rec);
-                    }
-                    Some(Record::Summary { source, compiled }) => {
-                        state.summary = Some((source, compiled));
-                    }
-                    None => return false,
+    fn open_inner(backend: Box<dyn StoreBackend>, stamp: Stamp) -> Result<CampaignJournal> {
+        let mut index = HashMap::new();
+        let mut summary = None;
+        let log = RecordLog::open(backend, &FORMAT, stamp, &mut |payload| {
+            match decode_payload(payload) {
+                Some(Record::Item(rec)) => {
+                    index.insert(rec.key, rec);
                 }
-                state.stats.recovered += 1;
-                true
-            });
-            state.len = pos as u64;
-            let dropped = image.len() - pos;
-            if dropped > 0 {
-                state.stats.dropped_bytes = dropped as u64;
-                if backend.truncate(pos as u64).is_err() {
-                    state.writable = false;
-                    warn_degraded(
-                        &mut state.warned,
-                        "journal",
-                        "recovery could not truncate the damaged tail",
-                    );
+                Some(Record::Summary { source, compiled }) => {
+                    summary = Some((source, compiled));
                 }
+                None => return false,
             }
-        } else if expect.is_none() {
-            // Adoption with nothing to adopt: report via `reset` —
-            // `open_existing` turns it into a typed error — and leave the
-            // backing file untouched rather than stamping a made-up header
-            // over a file that was merely named by mistake.
-            state.stats.reset = true;
-            state.writable = false;
-        } else {
-            // Missing, damaged or foreign header: reset wholesale — a
-            // journal must never replay cells into a different campaign.
-            if !image.is_empty() {
-                state.stats.reset = true;
-                state.stats.dropped_bytes = image.len() as u64;
-            }
-            let header = encode_header(fingerprint, shard);
-            let fresh = if image.is_empty() {
-                Ok(())
-            } else {
-                backend.truncate(0)
-            }
-            .and_then(|()| backend.append(&header));
-            match fresh {
-                Ok(()) => state.len = HEADER_LEN as u64,
-                Err(_) => {
-                    state.writable = false;
-                    state.stats.write_errors += 1;
-                    warn_degraded(&mut state.warned, "journal", "header write failed");
-                }
-            }
-        }
-
+            true
+        })?;
+        let (fingerprint, shard) = decode_stamp(&log.stamp());
         Ok(CampaignJournal {
-            backend,
             fingerprint,
             shard,
-            state: Mutex::new(state),
+            state: Mutex::new(JournalState {
+                index,
+                summary,
+                log,
+            }),
         })
     }
 
@@ -641,10 +474,10 @@ impl CampaignJournal {
 
     /// Looks up a completed work item; a hit counts as a replay.
     pub fn replay(&self, key: &ItemKey) -> Option<ItemRecord> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state();
         let rec = st.index.get(key).cloned();
         if rec.is_some() {
-            st.stats.replayed += 1;
+            st.log.count_replay();
         }
         rec
     }
@@ -652,24 +485,10 @@ impl CampaignJournal {
     /// Journals a completed work item. I/O failures degrade (rolled back
     /// and counted, never surfaced) exactly like the leg store's writes.
     pub fn record(&self, rec: &ItemRecord) {
-        let framed = frame_record(&encode_item(rec));
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !st.writable {
-            return;
-        }
-        match self.backend.append(&framed) {
-            Ok(()) => {
-                st.len += framed.len() as u64;
-                st.stats.appends += 1;
-                st.index.insert(rec.key, rec.clone());
-            }
-            Err(_) => {
-                st.stats.write_errors += 1;
-                if self.backend.truncate(st.len).is_err() {
-                    st.writable = false;
-                    warn_degraded(&mut st.warned, "journal", "torn-write rollback failed");
-                }
-            }
+        let payload = encode_item(rec);
+        let mut st = self.state();
+        if st.log.append(&payload) {
+            st.index.insert(rec.key, rec.clone());
         }
     }
 
@@ -677,43 +496,24 @@ impl CampaignJournal {
     /// the full-stream accounting totals. Idempotent: resuming an
     /// already-complete campaign re-seals without growing the log.
     pub fn seal(&self, source_tests: u64, compiled_tests: u64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.summary == Some((source_tests, compiled_tests)) || !st.writable {
-            return;
-        }
-        let framed = frame_record(&encode_summary(source_tests, compiled_tests));
-        match self.backend.append(&framed) {
-            Ok(()) => {
-                st.len += framed.len() as u64;
-                st.stats.appends += 1;
-                st.summary = Some((source_tests, compiled_tests));
-            }
-            Err(_) => {
-                st.stats.write_errors += 1;
-                if self.backend.truncate(st.len).is_err() {
-                    st.writable = false;
-                    warn_degraded(&mut st.warned, "journal", "torn-write rollback failed");
-                }
-            }
+        let totals = (source_tests, compiled_tests);
+        let mut st = self.state();
+        if st.summary != Some(totals)
+            && st.log.append(&encode_summary(source_tests, compiled_tests))
+        {
+            st.summary = Some(totals);
         }
     }
 
     /// The completion summary `(source_tests, compiled_tests)`, when the
     /// campaign sealed.
     pub fn summary(&self) -> Option<(u64, u64)> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .summary
+        self.state().summary
     }
 
     /// Number of completed items currently indexed.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .index
-            .len()
+        self.state().index.len()
     }
 
     /// True if no items are indexed.
@@ -724,18 +524,15 @@ impl CampaignJournal {
     /// Every indexed item record, sorted by key — a deterministic view
     /// whatever order workers appended in.
     pub fn records(&self) -> Vec<ItemRecord> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = self.state();
         let mut recs: Vec<ItemRecord> = st.index.values().cloned().collect();
         recs.sort_by_key(|r| r.key);
         recs
     }
 
     /// A snapshot of the journal's counters.
-    pub fn stats(&self) -> JournalStats {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stats = st.stats.clone();
-        stats.read_only = !st.writable;
-        stats
+    pub fn stats(&self) -> LogStats {
+        self.state().log.stats()
     }
 
     /// The byte offsets at which a journal image can be cleanly cut: after
@@ -743,20 +540,7 @@ impl CampaignJournal {
     /// (`tests/campaign_resume.rs`, `bench_relops`) truncates an image at
     /// every boundary to simulate a `kill -9` between appends.
     pub fn record_boundaries(image: &[u8]) -> Vec<usize> {
-        if image.len() < HEADER_LEN {
-            return Vec::new();
-        }
-        let mut bounds = vec![HEADER_LEN];
-        let mut pos = HEADER_LEN;
-        scan_records(image, HEADER_LEN, &mut |payload| {
-            if decode_payload(payload).is_none() {
-                return false;
-            }
-            pos += 12 + payload.len();
-            bounds.push(pos);
-            true
-        });
-        bounds
+        RecordLog::boundaries(image, &mut |payload| decode_payload(payload).is_some())
     }
 }
 
@@ -870,6 +654,52 @@ mod tests {
             opt: OptLevel::O2,
             outcome,
         }
+    }
+
+    /// The on-disk journal format, pinned byte for byte: campaign 42,
+    /// shard 1/2, a `Pass` item, a `Positive` item and the summary. A change
+    /// here is a format change and needs a `FORMAT_VERSION` bump.
+    const GOLDEN_JOURNAL: &str =
+        "5443484a4f55524e010000002a0000000000000001000000020000002a16dfc87704a237\
+        1d00000000010000000000000000000000000000000a0000000000000001000200f7eb47\
+        dadaa2220c3c000000000200000000000000000000000000000014000000000000000100\
+        0202040000006c622d3113000000636c616e672d31312d4f322d4141726368363469fc14\
+        591d7b21f61100000001020000000000000002000000000000006cfd6a7585a6295f";
+
+    #[test]
+    fn golden_journal_image_is_byte_stable_and_reopens_warm() {
+        use crate::persist::tests::{hex, unhex};
+        let shard = ShardSpec { index: 1, count: 2 };
+        let positive = ItemOutcome::Positive {
+            test: "lb-1".into(),
+            profile: "clang-11-O2-AArch64".into(),
+        };
+        let mem = MemBackend::new();
+        let j = CampaignJournal::open_backend(Box::new(mem.clone()), 42, shard).unwrap();
+        j.record(&item(1, 10, ItemOutcome::Pass));
+        j.record(&item(2, 20, positive.clone()));
+        j.seal(2, 2);
+        drop(j);
+        assert_eq!(hex(&mem.bytes().lock().unwrap()), GOLDEN_JOURNAL);
+
+        let golden = MemBackend::new();
+        *golden.bytes().lock().unwrap() = unhex(GOLDEN_JOURNAL);
+        let j = CampaignJournal::open_backend(Box::new(golden.clone()), 42, shard).unwrap();
+        let stats = j.stats();
+        assert_eq!(
+            (stats.recovered, stats.dropped_bytes, stats.reset),
+            (3, 0, false)
+        );
+        assert_eq!(j.summary(), Some((2, 2)));
+        let key = ItemKey { test: 2, profile: 20 };
+        assert_eq!(j.replay(&key).unwrap().outcome, positive);
+        j.seal(2, 2);
+        drop(j);
+        assert_eq!(
+            hex(&golden.bytes().lock().unwrap()),
+            GOLDEN_JOURNAL,
+            "a warm open writes nothing"
+        );
     }
 
     #[test]

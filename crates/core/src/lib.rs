@@ -60,6 +60,7 @@ pub mod campaign;
 pub mod fault;
 pub mod journal;
 pub mod l2c;
+mod log;
 pub mod mapping;
 pub mod mcompare;
 pub mod persist;
@@ -73,12 +74,12 @@ pub use campaign::{
 pub use fault::EngineFaults;
 pub use journal::{
     campaign_fingerprint, merge_journals, CampaignJournal, ItemKey, ItemOutcome, ItemRecord,
-    JournalStats, ShardSpec,
+    ShardSpec,
 };
 pub use l2c::{prepare, PreparedSource};
 pub use mapping::StateMapping;
 pub use mcompare::{mcompare, mcompare_shared, Comparison, SourceObservables};
-pub use persist::{PersistStore, StoreStats};
+pub use persist::{LogStats, PersistStore};
 pub use pipeline::{PipelineConfig, Telechat, TestReport, TestVerdict};
 pub use s2l::{object_to_asm_test, object_to_litmus, S2lOptions};
 pub use telechat_obs as obs;

@@ -7,27 +7,14 @@
 //!
 //! # File format
 //!
+//! The store is a record log (`log.rs`: header, framing, recovery, degrade)
+//! whose header stamp is `engine_revision(u64) models_fp(u64)` and whose
+//! record payloads are:
+//!
 //! ```text
-//! header   := MAGIC(8) version(u32) engine_revision(u64) models_fp(u64) cksum(u64)
-//! record   := len(u32) payload(len bytes) cksum(u64)      // cksum = fnv1a64(payload)
 //! payload  := kind(u8) test(u128) model(u64) config(u64) value
 //! value    := 0 StoredSim | 1 Error
 //! ```
-//!
-//! All integers are little-endian. The log is *append-only*: a record is
-//! never rewritten in place, so any prefix of the file that passes
-//! validation is a faithful prefix of some past store state.
-//!
-//! # Crash safety
-//!
-//! Recovery on open scans the log front to back and keeps the longest
-//! valid prefix: the first record whose length field overruns the file,
-//! whose checksum does not match, or whose payload fails to decode marks
-//! the damaged suffix, which is dropped (and physically truncated) in its
-//! entirety. A torn append, a `kill -9` mid-write, or a bit-flipped tail
-//! therefore costs exactly the damaged records — the reopened store serves
-//! only checksum-valid entries and the campaign recomputes the rest. A
-//! corrupt entry can degrade to a recompute, never to wrong data.
 //!
 //! # Versioning
 //!
@@ -39,270 +26,29 @@
 //! ([`telechat_cat::CatModel::content_fingerprint`]), so two models never
 //! alias. Ad-hoc models built from a raw [`telechat_cat::CatProgram`]
 //! have no stable content fingerprint and are simply never persisted.
-//!
-//! # Failure semantics
-//!
-//! Store I/O failures *degrade*: a failed append is rolled back (the torn
-//! tail truncated) and counted, and the entry stays memory-only; the
-//! campaign never fails because its cache could not be written. Injected
-//! faults are driven through the [`StoreBackend`] trait — see
-//! [`FaultyBackend`] and [`FaultPlan`].
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use telechat_common::{
-    fnv1a64, Error, Loc, Outcome, OutcomeSet, Reg, Result, StateKey, ThreadId, Val,
-};
+use telechat_common::{Error, Loc, Outcome, OutcomeSet, Reg, Result, StateKey, ThreadId, Val};
 use telechat_exec::SimResult;
 
-/// Magic bytes identifying a Téléchat store log.
-const MAGIC: &[u8; 8] = b"TCHSTORE";
+pub use crate::log::{FaultPlan, FaultyBackend, FileBackend, LogStats, MemBackend, StoreBackend};
+use crate::log::{LogFormat, RecordLog, Stamp, STAMP_LEN};
+
 /// On-disk format version (bump on layout changes). v2 added
 /// `StoredSim::pruned_candidates`; v3 added the attribution fields (rule
 /// tallies, prune sites, per-combo histogram). An older log is recovered
 /// as a reset (the legs recompute — store contents never change results).
 const FORMAT_VERSION: u32 = 3;
-/// Header size: magic + version + engine revision + models fp + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
-/// Upper bound on a single record payload; anything larger is treated as
-/// corruption (a litmus-scale leg is a few kilobytes).
-const MAX_RECORD: u32 = 1 << 24;
-
-// ---------------------------------------------------------------------------
-// Backend: the I/O surface, small enough to shim for fault injection.
-// ---------------------------------------------------------------------------
-
-/// The file operations the store performs, as a trait so tests can inject
-/// faults deterministically ([`FaultyBackend`]) and run entirely in memory
-/// ([`MemBackend`]).
-pub trait StoreBackend: Send + Sync {
-    /// Reads the entire current log image.
-    fn load(&self) -> std::io::Result<Vec<u8>>;
-    /// Appends bytes at the end of the log.
-    fn append(&self, bytes: &[u8]) -> std::io::Result<()>;
-    /// Truncates the log to `len` bytes (recovery and torn-write rollback).
-    fn truncate(&self, len: u64) -> std::io::Result<()>;
-}
-
-/// The real thing: a single log file on disk.
-pub struct FileBackend {
-    path: PathBuf,
-}
-
-impl FileBackend {
-    /// A backend over the given path; the file is created on first append.
-    pub fn new(path: impl Into<PathBuf>) -> FileBackend {
-        FileBackend { path: path.into() }
-    }
-}
-
-impl StoreBackend for FileBackend {
-    fn load(&self) -> std::io::Result<Vec<u8>> {
-        match std::fs::File::open(&self.path) {
-            Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                Ok(buf)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        f.write_all(bytes)?;
-        f.sync_data()
-    }
-
-    fn truncate(&self, len: u64) -> std::io::Result<()> {
-        let f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
-        f.set_len(len)?;
-        f.sync_data()
-    }
-}
-
-/// An in-memory backend. Cloning shares the underlying buffer, so a test
-/// can "restart the process" by reopening a clone, and can corrupt the
-/// image directly through [`MemBackend::bytes`].
-#[derive(Clone, Default)]
-pub struct MemBackend {
-    buf: Arc<Mutex<Vec<u8>>>,
-}
-
-impl MemBackend {
-    /// A fresh, empty in-memory log.
-    pub fn new() -> MemBackend {
-        MemBackend::default()
-    }
-
-    /// The shared log image, for inspection and deliberate corruption.
-    pub fn bytes(&self) -> Arc<Mutex<Vec<u8>>> {
-        self.buf.clone()
-    }
-}
-
-impl StoreBackend for MemBackend {
-    fn load(&self) -> std::io::Result<Vec<u8>> {
-        Ok(self.buf.lock().unwrap_or_else(|e| e.into_inner()).clone())
-    }
-
-    fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
-        self.buf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn truncate(&self, len: u64) -> std::io::Result<()> {
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        let len = len.min(buf.len() as u64) as usize;
-        buf.truncate(len);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection.
-// ---------------------------------------------------------------------------
-
-/// A deterministic plan of I/O faults for [`FaultyBackend`].
-///
-/// Each field arms one fault; `Default` arms none. [`FaultPlan::seeded`]
-/// derives a plan from a seed, for matrix-style tests that want coverage
-/// without hand-picking every point.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// Fail the Nth append (0-based, counted across the backend's life).
-    pub fail_append: Option<u32>,
-    /// When the failing append fires, let the first N bytes land anyway —
-    /// a torn ("short") write, as a crash mid-`write` would leave.
-    pub torn_bytes: Option<usize>,
-    /// Flip one bit of the loaded image at this byte offset (mod length)
-    /// on every [`StoreBackend::load`].
-    pub flip_read_at: Option<u64>,
-    /// Fail every truncate call (recovery cannot repair the file).
-    pub fail_truncate: bool,
-    /// Fail every load call (the resume-read / merge-read fault: the log
-    /// exists but cannot be read back at open).
-    pub fail_load: bool,
-}
-
-impl FaultPlan {
-    /// A deterministic plan derived from `seed` (splitmix64): fails one of
-    /// the first 16 appends, torn half the time.
-    pub fn seeded(seed: u64) -> FaultPlan {
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let fail_at = (next() % 16) as u32;
-        let torn = if next() % 2 == 0 {
-            Some((next() % 24) as usize)
-        } else {
-            None
-        };
-        FaultPlan {
-            fail_append: Some(fail_at),
-            torn_bytes: torn,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// A wider deterministic plan for the chaos matrix: independently arms
-    /// an append fault (torn half the time), a read bit-flip, a truncate
-    /// fault and a load fault from `seed`, so a sweep over seeds covers the
-    /// cross-product of fault sites — including the resume-read and
-    /// merge-read paths [`FaultPlan::seeded`] never touches.
-    pub fn seeded_chaos(seed: u64) -> FaultPlan {
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        FaultPlan {
-            fail_append: (next() % 2 == 0).then(|| (next() % 32) as u32),
-            torn_bytes: (next() % 2 == 0).then(|| (next() % 24) as usize),
-            flip_read_at: (next() % 4 == 0).then(|| next() % 4096),
-            fail_truncate: next() % 4 == 0,
-            fail_load: next() % 8 == 0,
-        }
-    }
-}
-
-/// Wraps a backend and injects the faults a [`FaultPlan`] arms. Used by
-/// the crash-matrix tests to prove recovery; never constructed on the
-/// production path.
-pub struct FaultyBackend<B> {
-    inner: B,
-    plan: FaultPlan,
-    appends: AtomicU32,
-}
-
-impl<B: StoreBackend> FaultyBackend<B> {
-    /// Wraps `inner`, arming `plan`.
-    pub fn new(inner: B, plan: FaultPlan) -> FaultyBackend<B> {
-        FaultyBackend {
-            inner,
-            plan,
-            appends: AtomicU32::new(0),
-        }
-    }
-}
-
-impl<B: StoreBackend> StoreBackend for FaultyBackend<B> {
-    fn load(&self) -> std::io::Result<Vec<u8>> {
-        if self.plan.fail_load {
-            return Err(std::io::Error::other("injected load fault"));
-        }
-        let mut buf = self.inner.load()?;
-        if let Some(off) = self.plan.flip_read_at {
-            if !buf.is_empty() {
-                let i = (off % buf.len() as u64) as usize;
-                buf[i] ^= 0x40;
-            }
-        }
-        Ok(buf)
-    }
-
-    fn append(&self, bytes: &[u8]) -> std::io::Result<()> {
-        let n = self.appends.fetch_add(1, Ordering::Relaxed);
-        if self.plan.fail_append == Some(n) {
-            if let Some(torn) = self.plan.torn_bytes {
-                let torn = torn.min(bytes.len());
-                // Land the torn prefix, then report failure — the shape a
-                // crash mid-write leaves on disk.
-                let _ = self.inner.append(&bytes[..torn]);
-            }
-            return Err(std::io::Error::other("injected append fault"));
-        }
-        self.inner.append(bytes)
-    }
-
-    fn truncate(&self, len: u64) -> std::io::Result<()> {
-        if self.plan.fail_truncate {
-            return Err(std::io::Error::other("injected truncate fault"));
-        }
-        self.inner.truncate(len)
-    }
-}
+static FORMAT: LogFormat = LogFormat {
+    what: "store",
+    magic: b"TCHSTORE",
+    version: FORMAT_VERSION,
+};
 
 // ---------------------------------------------------------------------------
 // Keys and values.
@@ -526,48 +272,31 @@ fn encode_value(buf: &mut Vec<u8>, v: &StoredValue) -> bool {
             if e.is_fault() {
                 return false;
             }
-            buf.push(1);
-            match e {
+            // Faults are screened out above; journal errors never occur as
+            // simulation-leg results.
+            let (code, text, word) = match e {
                 Error::Parse { msg, line } => {
-                    buf.push(0);
-                    put_str(buf, msg);
-                    put_u64(buf, line.map_or(u64::MAX, |l| l as u64));
+                    (0, Some(msg), Some(line.map_or(u64::MAX, |l| l as u64)))
                 }
-                Error::Model(m) => {
-                    buf.push(1);
-                    put_str(buf, m);
-                }
-                Error::IllFormed(m) => {
-                    buf.push(2);
-                    put_str(buf, m);
-                }
-                Error::Budget { steps } => {
-                    buf.push(3);
-                    put_u64(buf, *steps);
-                }
-                Error::Timeout { limit_ms } => {
-                    buf.push(4);
-                    put_u64(buf, *limit_ms);
-                }
-                Error::Vacuous(m) => {
-                    buf.push(5);
-                    put_str(buf, m);
-                }
-                Error::Unsupported(m) => {
-                    buf.push(6);
-                    put_str(buf, m);
-                }
-                Error::InternalCompilerError(m) => {
-                    buf.push(7);
-                    put_str(buf, m);
-                }
-                // Faults are screened out above; journal errors never
-                // occur as simulation-leg results.
+                Error::Model(m) => (1, Some(m), None),
+                Error::IllFormed(m) => (2, Some(m), None),
+                Error::Budget { steps } => (3, None, Some(*steps)),
+                Error::Timeout { limit_ms } => (4, None, Some(*limit_ms)),
+                Error::Vacuous(m) => (5, Some(m), None),
+                Error::Unsupported(m) => (6, Some(m), None),
+                Error::InternalCompilerError(m) => (7, Some(m), None),
                 Error::Panicked(_)
                 | Error::Deadline { .. }
                 | Error::Io(_)
                 | Error::Journal(_)
                 | Error::RetriesExhausted { .. } => unreachable!(),
+            };
+            buf.extend_from_slice(&[1, code]);
+            if let Some(text) = text {
+                put_str(buf, text);
+            }
+            if let Some(word) = word {
+                put_u64(buf, word);
             }
             true
         }
@@ -583,50 +312,7 @@ fn encode_record(key: &PersistKey, value: &StoredValue) -> Option<Vec<u8>> {
     payload.extend_from_slice(&key.test.to_le_bytes());
     put_u64(&mut payload, key.model);
     put_u64(&mut payload, key.config);
-    if !encode_value(&mut payload, value) {
-        return None;
-    }
-    Some(frame_record(&payload))
-}
-
-/// Frames a payload as an on-disk record — `len(u32) payload cksum(u64)`,
-/// `cksum = fnv1a64(payload)`. Shared by the leg store and the campaign
-/// journal ([`crate::journal`]), so both logs carry the same crash-safety
-/// envelope.
-pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(payload.len() + 12);
-    put_u32(&mut rec, payload.len() as u32);
-    let cksum = fnv1a64(0, payload);
-    rec.extend_from_slice(payload);
-    put_u64(&mut rec, cksum);
-    rec
-}
-
-/// Scans framed records from `start`, feeding each checksum-valid payload
-/// to `keep`; the first record whose length overruns the image, whose
-/// checksum mismatches, or that `keep` rejects (a decode failure) marks
-/// the damaged suffix. Returns the length of the valid prefix — the
-/// recovery truncation point shared by store and journal.
-pub(crate) fn scan_records(
-    image: &[u8],
-    start: usize,
-    keep: &mut dyn FnMut(&[u8]) -> bool,
-) -> usize {
-    let mut pos = start;
-    while let Some(len_bytes) = image.get(pos..pos + 4) {
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap());
-        let body = (len <= MAX_RECORD)
-            .then(|| image.get(pos + 4..pos + 4 + len as usize + 8))
-            .flatten();
-        let Some(body) = body else { break };
-        let (payload, ck) = body.split_at(len as usize);
-        let ck = u64::from_le_bytes(ck.try_into().unwrap());
-        if fnv1a64(0, payload) != ck || !keep(payload) {
-            break;
-        }
-        pos += 4 + len as usize + 8;
-    }
-    pos
+    encode_value(&mut payload, value).then_some(payload)
 }
 
 /// A bounds-checked little-endian reader; any overrun or bad tag reads as
@@ -743,10 +429,7 @@ impl<'a> Dec<'a> {
 }
 
 fn decode_record(payload: &[u8]) -> Option<(PersistKey, StoredValue)> {
-    let mut d = Dec {
-        buf: payload,
-        pos: 0,
-    };
+    let mut d = Dec::new(payload);
     let kind = match d.u8()? {
         0 => LegKind::Source,
         1 => LegKind::Target,
@@ -828,91 +511,33 @@ fn decode_record(payload: &[u8]) -> Option<(PersistKey, StoredValue)> {
 // The store.
 // ---------------------------------------------------------------------------
 
-/// Counters describing one store's life: what recovery found and what has
-/// happened since.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Valid records recovered on open.
-    pub recovered: u64,
-    /// Bytes of damaged suffix dropped by recovery.
-    pub dropped_bytes: u64,
-    /// True if the header was missing/mismatched and the log was reset.
-    pub reset: bool,
-    /// Records appended since open.
-    pub appends: u64,
-    /// Failed appends (the entries stayed memory-only).
-    pub write_errors: u64,
-    /// True when the session degraded to read-only: the backing file could
-    /// no longer be kept consistent (a rollback or recovery truncation
-    /// failed), so the store serves what it has but accepts no appends.
-    pub read_only: bool,
-}
-
-impl fmt::Display for StoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "store: {} recovered, {} appended, {} write errors",
-            self.recovered, self.appends, self.write_errors
-        )?;
-        if self.dropped_bytes > 0 {
-            write!(f, ", {} damaged bytes dropped", self.dropped_bytes)?;
-        }
-        if self.reset {
-            write!(f, ", log reset (version mismatch)")?;
-        }
-        if self.read_only {
-            write!(f, ", read-only")?;
-        }
-        Ok(())
-    }
-}
-
-/// One-time stderr notice for a degraded log session. Degradation is by
-/// design invisible to the campaign result (entries recompute, results
-/// stay byte-identical), which historically made it invisible full stop —
-/// an operator whose disk died mid-campaign deserves one line saying the
-/// log went read-only, plus the `store.*`/`journal.*` metric rows.
-pub(crate) fn warn_degraded(warned: &mut bool, what: &str, why: &str) {
-    if !*warned {
-        *warned = true;
-        eprintln!("telechat: {what} degraded to read-only ({why}); results are unaffected, entries will recompute on the next run");
-    }
-}
-
 struct StoreState {
     index: HashMap<PersistKey, StoredValue>,
-    /// Length of the valid log prefix (header + all indexed records).
-    len: u64,
-    /// Cleared when the backing file can no longer be kept consistent
-    /// (truncate after a torn write failed); the store then serves what it
-    /// recovered but accepts no further appends.
-    writable: bool,
-    /// One-time degradation notice already emitted.
-    warned: bool,
-    stats: StoreStats,
+    log: RecordLog,
 }
 
 /// The persistent content-addressed store. One instance per log file,
 /// shared across campaign workers behind an `Arc`; see the module docs
-/// for format, crash-safety and versioning.
+/// for format and versioning.
 pub struct PersistStore {
-    backend: Box<dyn StoreBackend>,
     state: Mutex<StoreState>,
 }
 
 impl fmt::Debug for PersistStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = self.state();
         f.debug_struct("PersistStore")
             .field("entries", &st.index.len())
-            .field("len", &st.len)
-            .field("writable", &st.writable)
+            .field("log", &st.log.stats())
             .finish()
     }
 }
 
 impl PersistStore {
+    fn state(&self) -> MutexGuard<'_, StoreState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Opens (or creates) the store at `path`.
     pub fn open(path: impl Into<PathBuf>) -> Result<PersistStore> {
         PersistStore::open_backend(Box::new(FileBackend::new(path)))
@@ -936,126 +561,45 @@ impl PersistStore {
         engine_revision: u64,
         models_fp: u64,
     ) -> Result<PersistStore> {
-        let image = backend
-            .load()
-            .map_err(|e| Error::Io(format!("store load: {e}")))?;
-
-        let mut state = StoreState {
-            index: HashMap::new(),
-            len: 0,
-            writable: true,
-            warned: false,
-            stats: StoreStats::default(),
-        };
-
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(MAGIC);
-        put_u32(&mut header, FORMAT_VERSION);
-        put_u64(&mut header, engine_revision);
-        put_u64(&mut header, models_fp);
-        let hck = fnv1a64(0, &header);
-        put_u64(&mut header, hck);
-
-        let header_ok = image.len() >= HEADER_LEN && image[..HEADER_LEN] == header[..];
-
-        if header_ok {
-            // Scan records, keeping the longest valid prefix.
-            let pos = scan_records(&image, HEADER_LEN, &mut |payload| {
-                let Some((key, value)) = decode_record(payload) else {
-                    return false;
-                };
-                state.index.insert(key, value);
-                state.stats.recovered += 1;
-                true
-            });
-            state.len = pos as u64;
-            let dropped = image.len() - pos;
-            if dropped > 0 {
-                state.stats.dropped_bytes = dropped as u64;
-                if backend.truncate(pos as u64).is_err() {
-                    // The damaged tail is stuck on disk; serving the
-                    // recovered prefix is still sound, but appending after
-                    // it would interleave with garbage.
-                    state.writable = false;
-                    warn_degraded(
-                        &mut state.warned,
-                        "store",
-                        "recovery could not truncate the damaged tail",
-                    );
-                }
-            }
-        } else {
-            // Missing, truncated or mismatched header: reset wholesale.
-            if !image.is_empty() {
-                state.stats.reset = true;
-                state.stats.dropped_bytes = image.len() as u64;
-            }
-            let fresh = if image.is_empty() {
-                Ok(())
-            } else {
-                backend.truncate(0)
-            }
-            .and_then(|()| backend.append(&header));
-            match fresh {
-                Ok(()) => state.len = HEADER_LEN as u64,
-                Err(_) => {
-                    // Cannot even lay down a header: degrade to a
-                    // memory-only session rather than failing the caller.
-                    state.writable = false;
-                    state.stats.write_errors += 1;
-                    warn_degraded(&mut state.warned, "store", "header write failed");
-                }
-            }
-        }
-
+        let mut stamp = [0; STAMP_LEN];
+        stamp[..8].copy_from_slice(&engine_revision.to_le_bytes());
+        stamp[8..].copy_from_slice(&models_fp.to_le_bytes());
+        let mut index = HashMap::new();
+        let log = RecordLog::open(backend, &FORMAT, Stamp::Expect(stamp), &mut |payload| {
+            decode_record(payload)
+                .map(|(key, value)| index.insert(key, value))
+                .is_some()
+        })?;
         Ok(PersistStore {
-            backend,
-            state: Mutex::new(state),
+            state: Mutex::new(StoreState { index, log }),
         })
     }
 
-    /// Looks up a persisted leg.
+    /// Looks up a persisted leg; a hit counts as a replay.
     pub fn get(&self, key: &PersistKey) -> Option<StoredValue> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.index.get(key).cloned()
+        let mut st = self.state();
+        let hit = st.index.get(key).cloned();
+        if hit.is_some() {
+            st.log.count_replay();
+        }
+        hit
     }
 
     /// Persists a leg. Fault values and unpersistable results are skipped;
     /// I/O failures degrade (rolled back and counted, never surfaced).
     pub fn put(&self, key: PersistKey, value: &StoredValue) {
-        let Some(rec) = encode_record(&key, value) else {
+        let Some(payload) = encode_record(&key, value) else {
             return;
         };
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !st.writable {
-            return;
-        }
-        match self.backend.append(&rec) {
-            Ok(()) => {
-                st.len += rec.len() as u64;
-                st.stats.appends += 1;
-                st.index.insert(key, value.clone());
-            }
-            Err(_) => {
-                st.stats.write_errors += 1;
-                // Roll back a possible torn tail so the log stays a valid
-                // prefix; if even that fails, stop writing — recovery on
-                // the next open will drop the damage.
-                if self.backend.truncate(st.len).is_err() {
-                    st.writable = false;
-                    warn_degraded(&mut st.warned, "store", "torn-write rollback failed");
-                }
-            }
+        let mut st = self.state();
+        if st.log.append(&payload) {
+            st.index.insert(key, value.clone());
         }
     }
 
     /// Number of entries currently indexed.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .index
-            .len()
+        self.state().index.len()
     }
 
     /// True if no entries are indexed.
@@ -1064,17 +608,15 @@ impl PersistStore {
     }
 
     /// A snapshot of the store's counters.
-    pub fn stats(&self) -> StoreStats {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stats = st.stats.clone();
-        stats.read_only = !st.writable;
-        stats
+    pub fn stats(&self) -> LogStats {
+        self.state().log.stats()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::log::{HEADER_LEN, MAX_RECORD};
 
     fn sample_sim() -> StoredSim {
         let mut outcomes = OutcomeSet::new();
@@ -1130,9 +672,7 @@ mod tests {
             Err(Error::parse_at("bad token", 3)),
             Err(Error::Timeout { limit_ms: 5000 }),
         ] {
-            let rec = encode_record(&k(1), &value).unwrap();
-            let len = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
-            let (key, decoded) = decode_record(&rec[4..4 + len]).unwrap();
+            let (key, decoded) = decode_record(&encode_record(&k(1), &value).unwrap()).unwrap();
             assert_eq!(key, k(1));
             assert_eq!(decoded, value);
         }
@@ -1314,6 +854,29 @@ mod tests {
     }
 
     #[test]
+    fn oversized_record_is_refused_and_later_records_survive() {
+        // Recovery reads a length over `MAX_RECORD` as corruption, so a
+        // writer that let one through would hide every later record.
+        let mem = MemBackend::new();
+        let store = PersistStore::open_backend(Box::new(mem.clone())).unwrap();
+        let huge = Err(Error::Model("x".repeat(MAX_RECORD as usize + 1)));
+        store.put(k(1), &huge);
+        store.put(k(2), &Ok(sample_sim()));
+        let stats = store.stats();
+        assert_eq!(
+            (stats.appends, stats.write_errors, stats.read_only),
+            (1, 1, false)
+        );
+        drop(store);
+
+        let store = PersistStore::open_backend(Box::new(mem)).unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.recovered, stats.dropped_bytes), (1, 0));
+        assert_eq!(store.get(&k(1)), None);
+        assert_eq!(store.get(&k(2)), Some(Ok(sample_sim())));
+    }
+
+    #[test]
     fn file_backend_round_trips() {
         let dir = std::env::temp_dir().join(format!("telechat-store-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1338,6 +901,63 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Lowercase hex of an image, for comparing against a golden literal.
+    pub(crate) fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Decodes a golden hex literal back into an image.
+    pub(crate) fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The on-disk store format, pinned byte for byte: stamps (1, 2), one
+    /// `Ok(sample_sim())` record under `k(1)` and one `Budget` error under
+    /// `k(2)`. A change here is a format change and needs a
+    /// `FORMAT_VERSION` bump.
+    const GOLDEN_STORE: &str =
+        "54434853544f52450300000001000000000000000200000000000000f9872e9b9d52b33b\
+        1e0100000001000000000000000000000000000000070000000000000009000000000000\
+        000002000000020000000000020000007230000100000000000000010100000079000200\
+        0000000000000100000000010200000072300101000000780c0000000000000003000000\
+        000000000100000004000000726163650000000000000000000500000000000000d20400\
+        00000000000200000007000000726331312d686202000000000000000200000073630400\
+        000000000000010000000200000073630500000000000000030000000000000000000000\
+        000000000200000000000000000000000000000002000000030100000000000000040100\
+        00000000000002000000000000000c000000000000000400000000000000080000000000\
+        0000fb7cafd4865dd8cb2b00000000020000000000000000000000000000000700000000\
+        000000090000000000000001030800000000000000a75561b214fe31af";
+
+    #[test]
+    fn golden_store_image_is_byte_stable_and_reopens_warm() {
+        let mem = MemBackend::new();
+        let store = PersistStore::open_versioned(Box::new(mem.clone()), 1, 2).unwrap();
+        store.put(k(1), &Ok(sample_sim()));
+        store.put(k(2), &Err(Error::Budget { steps: 8 }));
+        drop(store);
+        assert_eq!(hex(&mem.bytes().lock().unwrap()), GOLDEN_STORE);
+
+        let golden = MemBackend::new();
+        *golden.bytes().lock().unwrap() = unhex(GOLDEN_STORE);
+        let store = PersistStore::open_versioned(Box::new(golden.clone()), 1, 2).unwrap();
+        let stats = store.stats();
+        assert_eq!(
+            (stats.recovered, stats.dropped_bytes, stats.reset),
+            (2, 0, false)
+        );
+        assert_eq!(store.get(&k(1)), Some(Ok(sample_sim())));
+        assert_eq!(store.get(&k(2)), Some(Err(Error::Budget { steps: 8 })));
+        drop(store);
+        assert_eq!(
+            hex(&golden.bytes().lock().unwrap()),
+            GOLDEN_STORE,
+            "a warm open writes nothing"
+        );
+    }
+
     #[test]
     fn seeded_plans_are_deterministic() {
         let a = FaultPlan::seeded(11);
@@ -1345,29 +965,5 @@ mod tests {
         assert_eq!(a.fail_append, b.fail_append);
         assert_eq!(a.torn_bytes, b.torn_bytes);
         assert!(a.fail_append.unwrap() < 16);
-    }
-
-    #[test]
-    fn stats_display_is_compact() {
-        let s = StoreStats {
-            recovered: 3,
-            appends: 2,
-            write_errors: 1,
-            dropped_bytes: 17,
-            reset: false,
-            read_only: false,
-        };
-        assert_eq!(
-            s.to_string(),
-            "store: 3 recovered, 2 appended, 1 write errors, 17 damaged bytes dropped"
-        );
-        let s = StoreStats {
-            read_only: true,
-            ..StoreStats::default()
-        };
-        assert_eq!(
-            s.to_string(),
-            "store: 0 recovered, 0 appended, 0 write errors, read-only"
-        );
     }
 }

@@ -829,7 +829,7 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Appends a counter row (used to absorb `CacheStats`/`StoreStats`
+    /// Appends a counter row (used to absorb `CacheStats`/`LogStats`
     /// totals that are collected outside the registry).
     pub fn push_counter(&mut self, name: impl Into<String>, class: Class, value: u64) {
         self.counters.push(CounterRow {

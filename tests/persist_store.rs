@@ -180,6 +180,10 @@ fn store_backed_campaign_is_byte_identical_and_a_restart_hits_disk() {
             "every leg the cold run logged answers the warm rerun"
         );
         assert_eq!(warm.cache.disk_writes, 0, "nothing left to persist");
+        // The store counts its own hits: every disk hit is a replay.
+        assert_eq!(cold.store.as_ref().unwrap().replayed, 0);
+        assert_eq!(warm.store.as_ref().unwrap().replayed, warm.cache.disk_hits);
+        assert_eq!(warm_store.stats().replayed, warm.cache.disk_hits);
         cold_stats.push(cold.cache);
     }
     // Disk traffic, like the sharing-layer counters, is a pure function of
@@ -221,6 +225,7 @@ fn recovery_serves_only_the_valid_prefix_at_every_cut_point() {
         let warm = run_campaign(&suite, &small_spec(Some(store)), &config).unwrap();
         assert_eq!(fingerprint(&warm), fingerprint(&baseline), "cut at {cut}");
         assert_eq!(warm.cache.disk_hits, recovered as u64);
+        assert_eq!(warm.store.as_ref().unwrap().replayed, warm.cache.disk_hits);
         assert_eq!(warm.cache.disk_writes, (spans.len() - recovered) as u64);
     }
 }
