@@ -45,10 +45,59 @@ pub enum CatExpr {
     Cross(Box<CatExpr>, Box<CatExpr>),
 }
 
+/// A unary Cat operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unary {
+    Opt,
+    Plus,
+    Star,
+    Inverse,
+    IdOn,
+    Domain,
+    Range,
+}
+
+/// A binary Cat operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Binary {
+    Union,
+    Inter,
+    Diff,
+    Seq,
+    Cross,
+}
+
+/// An expression node seen as a name or an operator over its operands —
+/// the one view the tree evaluator and the staged engine's network
+/// compiler both dispatch on.
+pub(crate) enum Shape<'a> {
+    Name(Sym),
+    Unary(Unary, &'a CatExpr),
+    Binary(Binary, &'a CatExpr, &'a CatExpr),
+}
+
 impl CatExpr {
     /// Named-expression shorthand (interns the name).
     pub fn name(n: impl AsRef<str>) -> CatExpr {
         CatExpr::Name(Sym::new(n))
+    }
+
+    pub(crate) fn shape(&self) -> Shape<'_> {
+        match self {
+            CatExpr::Name(n) => Shape::Name(*n),
+            CatExpr::Union(a, b) => Shape::Binary(Binary::Union, a, b),
+            CatExpr::Inter(a, b) => Shape::Binary(Binary::Inter, a, b),
+            CatExpr::Diff(a, b) => Shape::Binary(Binary::Diff, a, b),
+            CatExpr::Seq(a, b) => Shape::Binary(Binary::Seq, a, b),
+            CatExpr::Cross(a, b) => Shape::Binary(Binary::Cross, a, b),
+            CatExpr::Opt(a) => Shape::Unary(Unary::Opt, a),
+            CatExpr::Plus(a) => Shape::Unary(Unary::Plus, a),
+            CatExpr::Star(a) => Shape::Unary(Unary::Star, a),
+            CatExpr::Inverse(a) => Shape::Unary(Unary::Inverse, a),
+            CatExpr::IdOn(a) => Shape::Unary(Unary::IdOn, a),
+            CatExpr::Domain(a) => Shape::Unary(Unary::Domain, a),
+            CatExpr::Range(a) => Shape::Unary(Unary::Range, a),
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! comparison anywhere in evaluation (ISSUE 3 satellite: interned Cat
 //! identifiers).
 
-use crate::ast::{CatExpr, CatProgram, CatStmt, CheckKind};
+use crate::ast::{Binary, CatExpr, CatProgram, CatStmt, CheckKind, Shape, Unary};
 use std::borrow::Cow;
 use std::sync::OnceLock;
 use telechat_common::{Annot, Error, Result, Sym};
@@ -190,13 +190,14 @@ impl EnvBase {
 
 /// The evaluation environment: named sets/relations plus the event
 /// universe, optionally layered over a shared [`EnvBase`] and a shared
-/// read-only slot table (the staged engine's per-push frontier values).
+/// read-only value table (the staged engine's maintained network values,
+/// reached through a name index).
 ///
-/// Lookup order: own slots → shared slots → base.
+/// Lookup order: own slots → shared values → base.
 #[derive(Debug, Clone)]
 pub struct Env<'a> {
     base: Option<&'a EnvBase>,
-    shared: Option<&'a [Option<CatValue>]>,
+    shared: Option<Shared<'a>>,
     slots: Vec<Option<CatValue>>,
     universe: Cow<'a, EventSet>,
 }
@@ -237,14 +238,15 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// A read-view over a base and an externally maintained slot table
-    /// (the staged engine's mirrors and frontier values). Binding into the
+    /// A read-view over a base and an externally maintained value table
+    /// (the staged engine's network): name `s` resolves to
+    /// `values[names[s.index()]]` when that entry exists. Binding into the
     /// view writes the view's own layer; the shared table is never
     /// mutated.
-    pub fn view(base: &'a EnvBase, shared: &'a [Option<CatValue>]) -> Env<'a> {
+    pub fn view(base: &'a EnvBase, names: &'a [u32], values: &'a [CatValue]) -> Env<'a> {
         Env {
             base: Some(base),
-            shared: Some(shared),
+            shared: Some(Shared { names, values }),
             slots: Vec::new(),
             universe: Cow::Borrowed(&base.universe),
         }
@@ -261,7 +263,10 @@ impl<'a> Env<'a> {
         self.slots
             .get(i)
             .and_then(Option::as_ref)
-            .or_else(|| self.shared.and_then(|s| s.get(i)).and_then(Option::as_ref))
+            .or_else(|| {
+                let shared = self.shared?;
+                shared.values.get(*shared.names.get(i)? as usize)
+            })
             .or_else(|| self.base.and_then(|b| b.slots.get(i)).and_then(Option::as_ref))
             .ok_or_else(|| Error::Model(format!("unknown identifier `{sym}`")))
     }
@@ -294,6 +299,14 @@ impl<'a> Env<'a> {
     }
 }
 
+/// The shared layer of an [`Env::view`]: a name index into a value table
+/// (an index past the table's end means "not bound here").
+#[derive(Debug, Clone, Copy)]
+struct Shared<'a> {
+    names: &'a [u32],
+    values: &'a [CatValue],
+}
+
 /// Evaluates an expression in an environment.
 ///
 /// # Errors
@@ -308,96 +321,67 @@ pub fn eval_expr(e: &CatExpr, env: &Env) -> Result<CatValue> {
 /// both sides of `;` and `cross`, every unary operator) take it by
 /// reference, so a name read costs nothing until a caller needs it owned.
 fn eval_cow<'e>(e: &CatExpr, env: &'e Env) -> Result<Cow<'e, CatValue>> {
-    let owned = match e {
-        CatExpr::Name(n) => return env.lookup_sym(*n).map(Cow::Borrowed),
-        CatExpr::Union(a, b) => binop(a, b, env, BinOp::Union)?,
-        CatExpr::Inter(a, b) => binop(a, b, env, BinOp::Inter)?,
-        CatExpr::Diff(a, b) => binop(a, b, env, BinOp::Diff)?,
-        CatExpr::Seq(a, b) => {
-            let (va, vb) = (eval_cow(a, env)?, eval_cow(b, env)?);
-            CatValue::Rel(va.as_rel(";")?.seq(vb.as_rel(";")?))
-        }
-        CatExpr::Opt(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Rel(v.as_rel("?")?.optional(env.universe()))
-        }
-        CatExpr::Plus(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Rel(v.as_rel("+")?.transitive_closure())
-        }
-        CatExpr::Star(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Rel(v.as_rel("*")?.reflexive_transitive_closure(env.universe()))
-        }
-        CatExpr::Inverse(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Rel(v.as_rel("^-1")?.inverse())
-        }
-        CatExpr::IdOn(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Rel(v.as_set("[_]")?.identity())
-        }
-        CatExpr::Domain(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Set(v.as_rel("domain")?.domain())
-        }
-        CatExpr::Range(a) => {
-            let v = eval_cow(a, env)?;
-            CatValue::Set(v.as_rel("range")?.range())
-        }
-        CatExpr::Cross(a, b) => {
-            let (va, vb) = (eval_cow(a, env)?, eval_cow(b, env)?);
-            CatValue::Rel(va.as_set("cross")?.cross(vb.as_set("cross")?))
+    let owned = match e.shape() {
+        Shape::Name(n) => return env.lookup_sym(n).map(Cow::Borrowed),
+        Shape::Unary(op, a) => apply_unary(op, &*eval_cow(a, env)?, env.universe())?,
+        Shape::Binary(op, a, b) => {
+            let va = eval_cow(a, env)?;
+            apply_binary(op, va, &*eval_cow(b, env)?)?
         }
     };
     Ok(Cow::Owned(owned))
 }
 
-/// The in-place binary operators.
-#[derive(Debug, Clone, Copy)]
-enum BinOp {
-    Union,
-    Inter,
-    Diff,
+/// Applies a unary operator (`r?` and `r*` are reflexive over `universe`).
+pub(crate) fn apply_unary(op: Unary, v: &CatValue, universe: &EventSet) -> Result<CatValue> {
+    Ok(match op {
+        Unary::Opt => CatValue::Rel(v.as_rel("?")?.optional(universe)),
+        Unary::Plus => CatValue::Rel(v.as_rel("+")?.transitive_closure()),
+        Unary::Star => CatValue::Rel(v.as_rel("*")?.reflexive_transitive_closure(universe)),
+        Unary::Inverse => CatValue::Rel(v.as_rel("^-1")?.inverse()),
+        Unary::IdOn => CatValue::Rel(v.as_set("[_]")?.identity()),
+        Unary::Domain => CatValue::Set(v.as_rel("domain")?.domain()),
+        Unary::Range => CatValue::Set(v.as_rel("range")?.range()),
+    })
 }
 
-impl BinOp {
-    fn symbol(self) -> &'static str {
-        match self {
-            BinOp::Union => "|",
-            BinOp::Inter => "&",
-            BinOp::Diff => "\\",
+/// Applies a binary operator. `;` and `cross` only read their left
+/// operand; `|`/`&`/`\` take it owned (a fresh value, or a copy of a
+/// borrowed name) and run the bitset types' in-place variants on it.
+pub(crate) fn apply_binary(op: Binary, va: Cow<'_, CatValue>, vb: &CatValue) -> Result<CatValue> {
+    match op {
+        Binary::Seq => return Ok(CatValue::Rel(va.as_rel(";")?.seq(vb.as_rel(";")?))),
+        Binary::Cross => {
+            return Ok(CatValue::Rel(
+                va.as_set("cross")?.cross(vb.as_set("cross")?),
+            ))
         }
+        Binary::Union | Binary::Inter | Binary::Diff => {}
     }
-}
-
-fn binop(a: &CatExpr, b: &CatExpr, env: &Env, op: BinOp) -> Result<CatValue> {
-    // The left operand is owned (a fresh value, or a copy of a bound
-    // name), so the bitset types' in-place `|=`/`&=`/`\=` variants apply
-    // directly; the right operand is only read, so a bound name is
-    // borrowed, never copied.
-    let va = eval_cow(a, env)?.into_owned();
-    let vb = eval_cow(b, env)?;
-    match (va, vb.as_ref()) {
+    match (va.into_owned(), vb) {
         (CatValue::Set(mut x), CatValue::Set(y)) => {
             match op {
-                BinOp::Union => x.union_with(y),
-                BinOp::Inter => x.inter_with(y),
-                BinOp::Diff => x.diff_with(y),
+                Binary::Union => x.union_with(y),
+                Binary::Inter => x.inter_with(y),
+                _ => x.diff_with(y),
             }
             Ok(CatValue::Set(x))
         }
         (CatValue::Rel(mut x), CatValue::Rel(y)) => {
             match op {
-                BinOp::Union => x.union_with(y),
-                BinOp::Inter => x.inter_with(y),
-                BinOp::Diff => x.diff_with(y),
+                Binary::Union => x.union_with(y),
+                Binary::Inter => x.inter_with(y),
+                _ => x.diff_with(y),
             }
             Ok(CatValue::Rel(x))
         }
         (va, vb) => Err(Error::Model(format!(
             "type mismatch for `{}`: {} vs {}",
-            op.symbol(),
+            match op {
+                Binary::Union => "|",
+                Binary::Inter => "&",
+                _ => "\\",
+            },
             va.type_name(),
             vb.type_name()
         ))),
@@ -649,9 +633,10 @@ exists (P0:r0=0 /\ P1:r0=0)
         let mut base = EnvBase::from_skeleton(&x);
         let a = Sym::new("zz_layer_probe");
         base.bind(a, CatValue::Rel(Relation::new()));
-        let mut shared = Vec::new();
-        set_slot(&mut shared, a, CatValue::Set(EventSet::new()));
-        let mut env = Env::view(&base, &shared);
+        let mut names = vec![u32::MAX; a.index() + 1];
+        names[a.index()] = 0;
+        let shared = [CatValue::Set(EventSet::new())];
+        let mut env = Env::view(&base, &names, &shared);
         // Shared layer shadows the base.
         assert!(matches!(env.lookup_sym(a).unwrap(), CatValue::Set(_)));
         // Own bindings shadow the shared layer.

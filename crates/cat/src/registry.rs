@@ -278,33 +278,27 @@ impl ComboChecker for CatComboChecker<'_> {
 
     fn push_rf(&mut self, _partial: &Execution, w: EventId, r: EventId) -> PartialVerdict {
         match &mut self.session {
-            CatSession::Staged(state) => match state.push_rf(w, r) {
-                Ok(v) => v,
-                Err(e) => panic!("model `{}` failed to evaluate: {e}", self.name),
-            },
+            CatSession::Staged(state) => state.push_rf(w, r),
             CatSession::Plain { .. } => PartialVerdict::Undecided,
         }
     }
 
-    fn pop_rf(&mut self, _partial: &Execution, w: EventId, r: EventId) {
+    fn pop_rf(&mut self, _partial: &Execution, _w: EventId, _r: EventId) {
         if let CatSession::Staged(state) = &mut self.session {
-            state.pop_rf(w, r);
+            state.pop();
         }
     }
 
     fn push_co(&mut self, _partial: &Execution, preds: &[EventId], w: EventId) -> PartialVerdict {
         match &mut self.session {
-            CatSession::Staged(state) => match state.push_co(preds, w) {
-                Ok(v) => v,
-                Err(e) => panic!("model `{}` failed to evaluate: {e}", self.name),
-            },
+            CatSession::Staged(state) => state.push_co(preds, w),
             CatSession::Plain { .. } => PartialVerdict::Undecided,
         }
     }
 
-    fn pop_co(&mut self, _partial: &Execution, preds: &[EventId], w: EventId) {
+    fn pop_co(&mut self, _partial: &Execution, _preds: &[EventId], _w: EventId) {
         if let CatSession::Staged(state) = &mut self.session {
-            state.pop_co(preds, w);
+            state.pop();
         }
     }
 

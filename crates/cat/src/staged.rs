@@ -22,16 +22,22 @@
 //!    over the closure-free body. Everything else (negated or
 //!    non-monotone checks, and all flags) is *residual*: evaluated only
 //!    at DFS leaves, with dead dynamic bindings skipped entirely.
-//! 3. **Incremental execution** ([`StagedState`]): one state per
-//!    session. It mirrors `rf`/`co` and the derived `fr` per pushed edge,
-//!    re-evaluates only the rf/co-dependent *frontier* of bindings, and
-//!    diffs each staged constraint's value against its previous value —
-//!    monotonicity makes the diff exactly the edge delta. `acyclic`
-//!    constraints feed their delta into a per-constraint
-//!    [`IncrementalOrder`] (journal + LIFO undo, zero full Kahn
-//!    traversals per simulation); `irreflexive` tracks the value's
-//!    diagonal; `empty` reads the value's edge count. Verdicts at DFS
-//!    nodes *and* leaves are O(#constraints).
+//! 3. **Delta propagation** ([`StagedState`]): one state per session.
+//!    The plan's frontier `let`s and staged-constraint expressions are
+//!    compiled once into a small node network (a DAG in topological
+//!    order; `let rec` groups become node ranges iterated to a fixpoint).
+//!    Each node holds its value, computed once, bottom-up, when the
+//!    session opens. A push hands the network the exact new `rf`, `co`
+//!    and derived `fr` edges, and every node turns its operands' deltas
+//!    into its own exact delta (`Δa;b ∪ a;Δb` for `;`, Italiano-style
+//!    pred × succ insertion for `+`/`*`, semi-naive rounds for `let rec`),
+//!    inserts it in place and appends it to an edge log. A pop removes
+//!    its push's logged edges, last in, first out, so every value is
+//!    exact after every pop. `acyclic` constraints feed their delta into
+//!    a per-constraint [`IncrementalOrder`] (journal + LIFO undo, zero
+//!    full Kahn traversals per simulation); `irreflexive` reads the
+//!    value's diagonal; `empty` its size. Verdicts at DFS nodes *and*
+//!    leaves are O(#constraints).
 //!
 //! Soundness: a violated staged constraint stays violated in every
 //! completion (the relations only grow and the expressions are monotone),
@@ -46,14 +52,16 @@
 //! skeleton and reuses it for every combo that shares it (see
 //! [`telechat_exec::ConsistencyModel::combo_checker`]).
 
-use crate::ast::{CatExpr, CatProgram, CatStmt, CheckKind};
+use crate::ast::{Binary, CatExpr, CatProgram, CatStmt, CheckKind, Shape, Unary};
 use crate::eval::{
-    base_syms, check_holds, eval_expr, eval_let_group, set_slot, CatValue, Env, EnvBase,
+    apply_binary, apply_unary, base_syms, check_holds, eval_expr, eval_let_group, CatValue, Env,
+    EnvBase,
 };
 use crate::monotone::{classify_let_group, expr_dep, Dep, DepMap};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use telechat_common::{Error, EventId, Result, Sym};
-use telechat_exec::{EventSet, Execution, IncrementalOrder, PartialVerdict, Relation, Verdict};
+use telechat_exec::{Execution, IncrementalOrder, PartialVerdict, Relation, Verdict};
 
 /// How a staged constraint consumes its maintained value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +94,11 @@ enum Step {
         recursive: bool,
         bindings: Vec<(Sym, CatExpr)>,
     },
-    /// rf/co/fr-dependent `let` group. `frontier`: re-evaluated per pushed
-    /// edge (needed by a staged constraint). `leaf`: evaluated during the
-    /// leaf walk (needed by a residual check or flag). Neither: dead code,
-    /// never evaluated.
+    /// rf/co/fr-dependent `let` group. `frontier`: maintained by the
+    /// session's node network per pushed edge (needed by a staged
+    /// constraint). `leaf`: evaluated during the leaf walk (needed by a
+    /// residual check or flag) unless the network already holds it.
+    /// Neither: dead code, never evaluated.
     BindDyn {
         recursive: bool,
         bindings: Vec<(Sym, CatExpr)>,
@@ -133,8 +142,9 @@ enum Step {
 pub struct StagedPlan {
     steps: Vec<Step>,
     constraints: Vec<Constraint>,
-    /// Indices of `BindDyn { frontier: true }` steps, in order.
-    frontier_steps: Vec<usize>,
+    /// The frontier `let`s and staged-constraint expressions as a node
+    /// network (empty for unstageable plans).
+    net: Network,
     /// Number of per-combo constant check/flag result slots.
     const_slots: usize,
     /// True if any `CheckConst` exists (a violated one forbids the whole
@@ -167,25 +177,15 @@ impl HoistNames<'_> {
 
 /// Collects every name mentioned by `e` into `out`.
 fn collect_names(e: &CatExpr, out: &mut HashSet<u32>) {
-    match e {
-        CatExpr::Name(n) => {
+    match e.shape() {
+        Shape::Name(n) => {
             out.insert(n.id());
         }
-        CatExpr::Union(a, b)
-        | CatExpr::Inter(a, b)
-        | CatExpr::Diff(a, b)
-        | CatExpr::Seq(a, b)
-        | CatExpr::Cross(a, b) => {
+        Shape::Unary(_, a) => collect_names(a, out),
+        Shape::Binary(_, a, b) => {
             collect_names(a, out);
             collect_names(b, out);
         }
-        CatExpr::Opt(a)
-        | CatExpr::Plus(a)
-        | CatExpr::Star(a)
-        | CatExpr::Inverse(a)
-        | CatExpr::IdOn(a)
-        | CatExpr::Domain(a)
-        | CatExpr::Range(a) => collect_names(a, out),
     }
 }
 
@@ -291,10 +291,10 @@ fn stage_form(
 
 /// Names the skeleton environment binds ([`EnvBase::from_skeleton`]) plus
 /// the growing `rf`/`co`/`fr`. A `let` that shadows one of these — or any
-/// other `let` — makes the plan unstageable: the staged executor
-/// evaluates the whole binding frontier before the constraint
-/// expressions, so an earlier constraint would observe a later rebinding
-/// (and a `rf`/`co`/`fr` binding would collide with the edge mirrors).
+/// other `let` — makes the plan unstageable: the node network and the
+/// leaf walk resolve each name to one binding for the whole program, so
+/// an earlier constraint would observe a later rebinding (and a
+/// `rf`/`co`/`fr` binding would collide with the edge mirrors).
 /// Such programs (none of the bundled models) fall back to leaf-only
 /// evaluation.
 fn reserved_names() -> HashSet<u32> {
@@ -483,16 +483,15 @@ impl StagedPlan {
                 _ => {}
             }
         }
-        let frontier_steps = steps
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Step::BindDyn { frontier: true, .. }))
-            .map(|(i, _)| i)
-            .collect();
+        let net = if stageable {
+            Network::compile(&steps, &constraints)
+        } else {
+            Network::default()
+        };
         StagedPlan {
+            net,
             steps,
             constraints,
-            frontier_steps,
             const_slots,
             has_const_checks,
             stageable,
@@ -512,51 +511,217 @@ impl StagedPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Per-combo incremental state.
+// The node network.
 // ---------------------------------------------------------------------------
 
-/// Per-constraint runtime state.
-#[derive(Debug)]
-enum ConState {
-    /// `value` is the constraint expression's current value (equal to a
-    /// from-scratch evaluation against the current rf/co/fr, by monotone
-    /// induction); the order tracks its acyclicity.
-    Acyclic {
-        value: Relation,
-        order: IncrementalOrder,
-    },
-    Irreflexive {
-        value: Relation,
-        selfloops: u32,
-    },
-    Empty {
-        value: Relation,
-    },
-    /// `empty` over a *set*-valued monotone expression (e.g.
-    /// `empty domain(rf)`): element deltas instead of edge deltas.
-    EmptySet {
-        value: EventSet,
-    },
+/// Where a network node reads an operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// A combo-constant name, read from the session's [`EnvBase`].
+    Const(Sym),
+    /// Another node's maintained value.
+    Node(u32),
 }
 
-impl ConState {
-    fn violated(&self) -> bool {
-        match self {
-            ConState::Acyclic { order, .. } => !order.is_acyclic(),
-            ConState::Irreflexive { selfloops, .. } => *selfloops > 0,
-            ConState::Empty { value } => !value.is_empty(),
-            ConState::EmptySet { value } => !value.is_empty(),
+/// What a network node computes.
+#[derive(Debug, Clone, Copy)]
+enum NodeOp {
+    /// `rf`, `co` or `fr`: written by the pushes themselves.
+    Mirror,
+    /// A `let rec` member: the value of its body.
+    Copy(Src),
+    Unary(Unary, Src),
+    Binary(Binary, Src, Src),
+}
+
+/// A run of nodes in topological order. A `let rec` group (`rec` names
+/// its plan step) is iterated until no member grows.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    start: usize,
+    end: usize,
+    rec: Option<usize>,
+}
+
+/// Marks a name the network does not bind.
+const NO_NODE: u32 = u32::MAX;
+/// The mirror nodes, in this order, at the front of every network.
+const RF: u32 = 0;
+const CO: u32 = 1;
+const FR: u32 = 2;
+
+/// The compiled node network of a plan (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct Network {
+    nodes: Vec<NodeOp>,
+    groups: Vec<Group>,
+    /// `Sym` index → the node bound to that name, or [`NO_NODE`]: the
+    /// leaf walk's view of the mirrors and frontier `let`s.
+    names: Vec<u32>,
+    /// Each staged constraint's maintained value, by constraint index.
+    roots: Vec<Src>,
+}
+
+impl Network {
+    /// Compiles the frontier `let`s and staged-constraint expressions, in
+    /// plan order.
+    fn compile(steps: &[Step], constraints: &[Constraint]) -> Network {
+        let mut net = Network::default();
+        let s = base_syms();
+        for sym in [s.rf, s.co, s.fr] {
+            let n = net.push(NodeOp::Mirror);
+            net.bind(sym, n);
         }
+        net.close(0, None);
+        for (si, step) in steps.iter().enumerate() {
+            let start = net.nodes.len();
+            match step {
+                Step::BindDyn {
+                    recursive: false,
+                    bindings,
+                    frontier: true,
+                    ..
+                } => {
+                    for (sym, e) in bindings {
+                        let n = match net.expr(e) {
+                            Src::Node(n) => n,
+                            c => net.push(NodeOp::Copy(c)),
+                        };
+                        net.bind(*sym, n);
+                    }
+                    net.close(start, None);
+                }
+                Step::BindDyn {
+                    recursive: true,
+                    bindings,
+                    frontier: true,
+                    ..
+                } => {
+                    // Members first (bodies may read any of them), each
+                    // then pointed at its compiled body.
+                    for (sym, _) in bindings {
+                        let n = net.push(NodeOp::Copy(Src::Const(*sym)));
+                        net.bind(*sym, n);
+                    }
+                    for (k, (_, e)) in bindings.iter().enumerate() {
+                        net.nodes[start + k] = NodeOp::Copy(net.expr(e));
+                    }
+                    net.close(start, Some(si));
+                }
+                Step::CheckStaged { idx } => {
+                    let root = net.expr(&constraints[*idx].expr);
+                    net.roots.push(root);
+                    net.close(start, None);
+                }
+                _ => {}
+            }
+        }
+        net
+    }
+
+    fn push(&mut self, op: NodeOp) -> u32 {
+        self.nodes.push(op);
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn bind(&mut self, sym: Sym, n: u32) {
+        if sym.index() >= self.names.len() {
+            self.names.resize(sym.index() + 1, NO_NODE);
+        }
+        self.names[sym.index()] = n;
+    }
+
+    /// Ends the group of the nodes pushed since `start` (consecutive
+    /// non-recursive groups merge).
+    fn close(&mut self, start: usize, rec: Option<usize>) {
+        let end = self.nodes.len();
+        match self.groups.last_mut() {
+            Some(g) if rec.is_none() && g.rec.is_none() && g.end == start => g.end = end,
+            _ if start < end => self.groups.push(Group { start, end, rec }),
+            _ => {}
+        }
+    }
+
+    fn expr(&mut self, e: &CatExpr) -> Src {
+        let op = match e.shape() {
+            Shape::Name(sym) => {
+                return match self.names.get(sym.index()) {
+                    Some(&n) if n != NO_NODE => Src::Node(n),
+                    _ => Src::Const(sym),
+                }
+            }
+            Shape::Unary(op, a) => NodeOp::Unary(op, self.expr(a)),
+            Shape::Binary(op, a, b) => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                // A growing subtrahend would make `\` shrink; the monotone
+                // analysis keeps such expressions out of the frontier.
+                assert!(
+                    op != Binary::Diff || matches!(b, Src::Const(_)),
+                    "staged `\\` with a dynamic subtrahend"
+                );
+                NodeOp::Binary(op, a, b)
+            }
+        };
+        Src::Node(self.push(op))
+    }
+
+    /// Every node's value for empty `rf`/`co`/`fr`, bottom-up. A `let rec`
+    /// group's members take the evaluator's Kleene fixpoint; its body nodes
+    /// are then computed from them.
+    fn open(&self, steps: &[Step], base: &EnvBase, events: usize) -> Result<Vec<CatValue>> {
+        let mut vals: Vec<CatValue> = Vec::with_capacity(self.nodes.len());
+        for g in &self.groups {
+            let mut first = g.start;
+            if let Some(si) = g.rec {
+                let Step::BindDyn { bindings, .. } = &steps[si] else {
+                    unreachable!("recursive groups are dynamic bindings");
+                };
+                let mut fix = {
+                    let mut env = Env::view(base, &self.names, &vals);
+                    eval_let_group(&mut env, true, bindings)?;
+                    env.take_slots()
+                };
+                for (sym, _) in bindings {
+                    vals.push(fix[sym.index()].take().expect("bound by its group"));
+                }
+                first += bindings.len();
+            }
+            for op in &self.nodes[first..g.end] {
+                let get = |s: Src| match s {
+                    Src::Node(n) => Ok(&vals[n as usize]),
+                    Src::Const(sym) => base
+                        .get(sym)
+                        .ok_or_else(|| Error::Model(format!("unknown identifier `{sym}`"))),
+                };
+                let v = match *op {
+                    NodeOp::Mirror => CatValue::Rel(Relation::with_nodes(events)),
+                    NodeOp::Copy(a) => get(a)?.clone(),
+                    NodeOp::Unary(op, a) => apply_unary(op, get(a)?, base.universe())?,
+                    NodeOp::Binary(op, a, b) => apply_binary(op, Cow::Borrowed(get(a)?), get(b)?)?,
+                };
+                vals.push(v);
+            }
+        }
+        Ok(vals)
     }
 }
 
-/// One undo frame (per engine push): the value delta applied to each
-/// constraint.
-#[derive(Debug, Default)]
-struct ConsFrame {
-    delta: Vec<(EventId, EventId)>,
-    elems: Vec<EventId>,
-    selfloops: u32,
+// ---------------------------------------------------------------------------
+// Per-session incremental state.
+// ---------------------------------------------------------------------------
+
+/// One relation edge, or one set element `e` as `(e, e)`.
+type Item = (EventId, EventId);
+
+/// How a staged constraint reads its maintained value.
+#[derive(Debug)]
+enum ConState {
+    /// The value's delta edges feed the order.
+    Acyclic(IncrementalOrder),
+    /// Violated iff the value has a diagonal edge.
+    Irreflexive,
+    /// Violated iff the value (relation or set) is non-empty.
+    Empty,
 }
 
 /// The staged checking state of one skeleton (one per
@@ -566,368 +731,403 @@ pub struct StagedState<'a> {
     plan: &'a StagedPlan,
     /// Skeleton bindings + per-combo constants (`let`s and hoists).
     base: EnvBase,
-    /// Shared dynamic slots: the rf/co/fr mirrors plus frontier binding
-    /// values (updated in place per push; read through [`Env::view`]).
-    slots: Vec<Option<CatValue>>,
-    rf: Sym,
-    co: Sym,
-    fr: Sym,
+    /// Every network node's value, by node id.
+    vals: Vec<CatValue>,
+    /// Each node's delta in the current push (cleared when a push begins).
+    deltas: Vec<Vec<Item>>,
+    /// Per node, how much of each operand's delta it has consumed in the
+    /// current push (a `let rec` node consumes in several rounds).
+    seen: Vec<[usize; 2]>,
+    /// Every item the pushes in force inserted, as `(node, item)`.
+    log: Vec<(u32, Item)>,
+    /// The log length when each push in force began.
+    marks: Vec<usize>,
     cons: Vec<ConState>,
     /// Results of constant checks/flags, by `cslot`: "holds"/"fires".
     const_results: Vec<bool>,
     /// True if some constant *check* is violated: every candidate of the
     /// combo is forbidden.
     const_violated: bool,
-    frames: Vec<Vec<ConsFrame>>,
-    /// Popped frames, recycled by [`StagedState::advance`] so the steady-
-    /// state DFS allocates no delta vectors: the engine calls
-    /// `edge_diff_into` once per push and reuses these buffers.
-    spare_frames: Vec<Vec<ConsFrame>>,
-    /// Reusable `fr` edge-delta buffer for [`StagedState::push_co`] /
-    /// [`StagedState::pop_co`].
-    fr_scratch: Vec<(EventId, EventId)>,
+    /// Scratch: the candidate items of the node being updated.
+    cand: Vec<Item>,
+    /// Scratch: the targets of one closure insertion.
+    targets: Vec<EventId>,
     nodes: usize,
 }
 
+fn value_of<'v>(vals: &'v [CatValue], base: &'v EnvBase, s: Src) -> &'v CatValue {
+    match s {
+        Src::Node(n) => &vals[n as usize],
+        Src::Const(sym) => base
+            .get(sym)
+            .expect("operands resolve when the session opens"),
+    }
+}
+
+fn rel(v: &CatValue) -> &Relation {
+    match v {
+        CatValue::Rel(r) => r,
+        CatValue::Set(_) => unreachable!("operand types are checked when the session opens"),
+    }
+}
+
+fn has(v: &CatValue, (a, b): Item) -> bool {
+    match v {
+        CatValue::Rel(r) => r.contains(a, b),
+        CatValue::Set(s) => s.contains(a),
+    }
+}
+
+fn add(v: &mut CatValue, (a, b): Item) -> bool {
+    match v {
+        CatValue::Rel(r) => r.insert(a, b),
+        CatValue::Set(s) => s.insert(a),
+    }
+}
+
 impl<'a> StagedState<'a> {
-    /// Builds the combo state: evaluates constants into the base, seeds
-    /// every staged constraint from the skeleton (empty rf/co/fr).
+    /// Opens the session: evaluates the combo constants into the base,
+    /// computes every network value for empty `rf`/`co`/`fr` and seeds
+    /// each staged constraint from it.
     pub fn new(plan: &'a StagedPlan, skeleton: &Execution) -> Result<StagedState<'a>> {
         telechat_obs::add(telechat_obs::Counter::CatSessions, 1);
         let nodes = skeleton.events.len();
-        let mut state = StagedState {
-            plan,
-            base: EnvBase::from_skeleton(skeleton),
-            slots: Vec::new(),
-            rf: base_syms().rf,
-            co: base_syms().co,
-            fr: base_syms().fr,
-            cons: Vec::with_capacity(plan.constraints.len()),
-            const_results: vec![false; plan.const_slots],
-            const_violated: false,
-            frames: Vec::new(),
-            spare_frames: Vec::new(),
-            fr_scratch: Vec::new(),
-            nodes,
-        };
-        for sym in [state.rf, state.co, state.fr] {
-            set_slot(
-                &mut state.slots,
-                sym,
-                CatValue::Rel(Relation::with_nodes(nodes)),
-            );
-        }
+        let mut base = EnvBase::from_skeleton(skeleton);
+        let mut const_results = vec![false; plan.const_slots];
+        let mut const_violated = false;
+        // Constants read no dynamic value, so they all go first.
         for step in &plan.steps {
             match step {
                 Step::BindConst {
-                    recursive,
+                    recursive: false,
                     bindings,
-                } => state.bind_group(*recursive, bindings, true)?,
-                Step::BindDyn {
-                    recursive,
+                } => {
+                    for (sym, expr) in bindings {
+                        let v = eval_expr(expr, &Env::view(&base, &[], &[]))?;
+                        base.bind(*sym, v);
+                    }
+                }
+                Step::BindConst {
+                    recursive: true,
                     bindings,
-                    frontier: true,
-                    ..
-                } => state.bind_group(*recursive, bindings, false)?,
-                Step::BindDyn { .. } => {}
+                } => {
+                    let mut fix = {
+                        let mut env = Env::view(&base, &[], &[]);
+                        eval_let_group(&mut env, true, bindings)?;
+                        env.take_slots()
+                    };
+                    for (sym, _) in bindings {
+                        base.bind(*sym, fix[sym.index()].take().expect("bound by its group"));
+                    }
+                }
                 Step::CheckConst {
                     cslot,
                     kind,
                     negated,
                     expr,
                     name,
-                } => {
-                    let env = Env::view(&state.base, &state.slots);
-                    let v = eval_expr(expr, &env)?;
-                    let holds = check_holds(*kind, *negated, &v, name)?;
-                    state.const_results[*cslot] = holds;
-                    if !holds {
-                        state.const_violated = true;
-                    }
                 }
-                Step::CheckStaged { idx } => {
-                    let c = &plan.constraints[*idx];
-                    let seed = {
-                        let env = Env::view(&state.base, &state.slots);
-                        eval_expr(&c.expr, &env)?
-                    };
-                    let con = match (c.mode, seed) {
-                        (Mode::Acyclic, CatValue::Rel(value)) => ConState::Acyclic {
-                            order: IncrementalOrder::new(nodes, &[&value]),
-                            value,
-                        },
-                        (Mode::Irreflexive, CatValue::Rel(value)) => ConState::Irreflexive {
-                            selfloops: diagonal_len(&value),
-                            value,
-                        },
-                        (Mode::Empty, CatValue::Rel(value)) => ConState::Empty { value },
-                        // `empty` is meaningful for sets too (`check_holds`
-                        // accepts both); cardinality stages just as well.
-                        (Mode::Empty, CatValue::Set(value)) => ConState::EmptySet { value },
-                        (_, CatValue::Set(_)) => {
-                            return Err(Error::Model(format!(
-                                "{}: expected a relation, found a set",
-                                c.name
-                            )))
-                        }
-                    };
-                    state.cons.push(con);
-                }
-                Step::CheckResidual { .. } | Step::Flag { cslot: None, .. } => {}
-                Step::Flag {
+                | Step::Flag {
                     cslot: Some(cslot),
                     kind,
                     negated,
                     expr,
                     name,
                 } => {
-                    let env = Env::view(&state.base, &state.slots);
-                    let v = eval_expr(expr, &env)?;
-                    state.const_results[*cslot] = check_holds(*kind, *negated, &v, name)?;
+                    let v = eval_expr(expr, &Env::view(&base, &[], &[]))?;
+                    let holds = check_holds(*kind, *negated, &v, name)?;
+                    const_results[*cslot] = holds;
+                    const_violated |= !holds && matches!(step, Step::CheckConst { .. });
                 }
+                _ => {}
             }
         }
-        Ok(state)
-    }
-
-    /// Evaluates one `let` group into the base (`to_base`) or the shared
-    /// dynamic slots. A non-recursive group writes each value straight into
-    /// its slot: later bindings of the group read it there exactly as they
-    /// would read a view's own layer, and stageable plans shadow no name,
-    /// so the order of reads and writes is the plain evaluator's. A
-    /// recursive group runs its Kleene iteration in a view and moves the
-    /// fixpoint over.
-    fn bind_group(
-        &mut self,
-        recursive: bool,
-        bindings: &[(Sym, CatExpr)],
-        to_base: bool,
-    ) -> Result<()> {
-        if !recursive {
-            for (sym, expr) in bindings {
-                let v = eval_expr(expr, &Env::view(&self.base, &self.slots))?;
-                self.bind(*sym, v, to_base);
-            }
-            return Ok(());
-        }
-        let mut taken = {
-            let mut env = Env::view(&self.base, &self.slots);
-            eval_let_group(&mut env, true, bindings)?;
-            env.take_slots()
-        };
-        for (sym, _) in bindings {
-            if let Some(v) = taken.get_mut(sym.index()).and_then(Option::take) {
-                self.bind(*sym, v, to_base);
-            }
-        }
-        Ok(())
-    }
-
-    fn bind(&mut self, sym: Sym, v: CatValue, to_base: bool) {
-        if to_base {
-            self.base.bind(sym, v);
-        } else {
-            set_slot(&mut self.slots, sym, v);
-        }
-    }
-
-    fn rel_mut(&mut self, sym: Sym) -> &mut Relation {
-        match self.slots.get_mut(sym.index()).and_then(Option::as_mut) {
-            Some(CatValue::Rel(r)) => r,
-            _ => unreachable!("rf/co/fr mirrors are always bound relations"),
-        }
-    }
-
-    fn rel_ref(&self, sym: Sym) -> &Relation {
-        match self.slots.get(sym.index()).and_then(Option::as_ref) {
-            Some(CatValue::Rel(r)) => r,
-            _ => unreachable!("rf/co/fr mirrors are always bound relations"),
-        }
-    }
-
-    /// The `fr` delta a coherence-chain extension induces: `fr(r, w)` for
-    /// exactly the reads `r` justified by some predecessor (minus the
-    /// identity-guard of [`Execution::fr`], which cannot trigger here as
-    /// reads and writes are distinct events). Filled into `out` (cleared
-    /// first) — the buffer is the session's `fr_scratch`, so the steady-
-    /// state DFS pushes no allocations here.
-    fn fill_fr_delta(&self, preds: &[EventId], w: EventId, out: &mut Vec<(EventId, EventId)>) {
-        out.clear();
-        let rf = self.rel_ref(self.rf);
-        for &p in preds {
-            for r in rf.successors(p) {
-                if r != w {
-                    out.push((r, w));
+        let vals = plan.net.open(&plan.steps, &base, nodes)?;
+        let mut cons = Vec::with_capacity(plan.constraints.len());
+        for (c, &root) in plan.constraints.iter().zip(&plan.net.roots) {
+            cons.push(match (c.mode, value_of(&vals, &base, root)) {
+                (Mode::Acyclic, CatValue::Rel(r)) => {
+                    ConState::Acyclic(IncrementalOrder::new(nodes, &[r]))
                 }
-            }
+                (Mode::Irreflexive, CatValue::Rel(_)) => ConState::Irreflexive,
+                // `empty` is meaningful for sets too (`check_holds`
+                // accepts both); cardinality stages just as well.
+                (Mode::Empty, _) => ConState::Empty,
+                (_, CatValue::Set(_)) => {
+                    return Err(Error::Model(format!(
+                        "{}: expected a relation, found a set",
+                        c.name
+                    )))
+                }
+            });
         }
+        Ok(StagedState {
+            deltas: vec![Vec::new(); vals.len()],
+            seen: vec![[0; 2]; vals.len()],
+            plan,
+            base,
+            vals,
+            log: Vec::new(),
+            marks: Vec::new(),
+            cons,
+            const_results,
+            const_violated,
+            cand: Vec::new(),
+            targets: Vec::new(),
+            nodes,
+        })
     }
 
-    /// The engine assigned `rf(w, r)`.
-    pub fn push_rf(&mut self, w: EventId, r: EventId) -> Result<PartialVerdict> {
-        self.rel_mut(self.rf).insert(w, r);
-        self.advance()
-    }
-
-    /// Undoes the most recent [`StagedState::push_rf`].
-    pub fn pop_rf(&mut self, w: EventId, r: EventId) {
-        self.undo_frame();
-        self.rel_mut(self.rf).remove(w, r);
+    /// The engine assigned `rf(w, r)`. `fr` gains `(r, w')` for every
+    /// write `w'` coherence-after `w` (none while the DFS is still
+    /// choosing reads-from).
+    pub fn push_rf(&mut self, w: EventId, r: EventId) -> PartialVerdict {
+        self.begin();
+        self.insert(RF, (w, r));
+        self.cand.clear();
+        let co = rel(&self.vals[CO as usize]);
+        self.cand
+            .extend(co.successors(w).filter(|&x| x != r).map(|x| (r, x)));
+        self.insert_cands(FR);
+        self.propagate()
     }
 
     /// The engine extended a coherence chain (`co(p, w)` for `p ∈ preds`).
-    pub fn push_co(&mut self, preds: &[EventId], w: EventId) -> Result<PartialVerdict> {
+    /// `fr` gains `(r, w)` for every read `r` some predecessor justifies
+    /// (the identity guard of [`Execution::fr`] cannot trigger: reads and
+    /// writes are distinct events).
+    pub fn push_co(&mut self, preds: &[EventId], w: EventId) -> PartialVerdict {
+        self.begin();
         for &p in preds {
-            self.rel_mut(self.co).insert(p, w);
+            self.insert(CO, (p, w));
         }
-        let mut scratch = std::mem::take(&mut self.fr_scratch);
-        self.fill_fr_delta(preds, w, &mut scratch);
-        for &(r, w) in &scratch {
-            self.rel_mut(self.fr).insert(r, w);
+        self.cand.clear();
+        let rf = rel(&self.vals[RF as usize]);
+        for &p in preds {
+            self.cand
+                .extend(rf.successors(p).filter(|&r| r != w).map(|r| (r, w)));
         }
-        self.fr_scratch = scratch;
-        self.advance()
+        self.insert_cands(FR);
+        self.propagate()
     }
 
-    /// Undoes the most recent [`StagedState::push_co`].
-    pub fn pop_co(&mut self, preds: &[EventId], w: EventId) {
-        self.undo_frame();
-        // rf is stable throughout the coherence stage, so the delta
-        // recomputes to exactly the pushed set.
-        let mut scratch = std::mem::take(&mut self.fr_scratch);
-        self.fill_fr_delta(preds, w, &mut scratch);
-        for &(r, w) in &scratch {
-            self.rel_mut(self.fr).remove(r, w);
+    /// Undoes the most recent push: removes the edges it logged and
+    /// unwinds each acyclicity order by one frame.
+    pub fn pop(&mut self) {
+        let mark = self.marks.pop().expect("pop without matching push");
+        for (n, (a, b)) in self.log.drain(mark..).rev() {
+            match &mut self.vals[n as usize] {
+                CatValue::Rel(r) => r.remove(a, b),
+                CatValue::Set(s) => s.remove(a),
+            };
         }
-        self.fr_scratch = scratch;
-        for &p in preds {
-            self.rel_mut(self.co).remove(p, w);
+        for con in &mut self.cons {
+            if let ConState::Acyclic(order) = con {
+                order.undo();
+            }
         }
     }
 
-    /// Folds every frame pushed so far into the session baseline: staged
-    /// constraint values keep their current contents, each acyclicity
-    /// order snapshots its reachability state (journals cleared via
-    /// [`IncrementalOrder::snapshot`]), and the undo stack empties —
-    /// subsequent pops can only unwind pushes made *after* this call.
+    /// Folds every push so far into the session baseline: values keep
+    /// their current contents, each acyclicity order snapshots its
+    /// reachability state ([`IncrementalOrder::snapshot`]), and the log
+    /// empties — subsequent pops can only unwind pushes made *after* this
+    /// call.
     ///
     /// The work-stealing enumerator calls this when a worker adopts a
     /// stolen DFS frontier: the replayed forced prefix becomes the
     /// session's permanent split-point baseline and is never popped.
     pub fn absorb(&mut self) {
+        self.log.clear();
+        self.marks.clear();
         for con in &mut self.cons {
-            if let ConState::Acyclic { order, .. } = con {
+            if let ConState::Acyclic(order) = con {
                 order.snapshot();
             }
         }
-        let mut frames = std::mem::take(&mut self.frames);
-        for frame in &mut frames {
-            for cf in frame.iter_mut() {
-                cf.delta.clear();
-                cf.elems.clear();
-                cf.selfloops = 0;
-            }
-        }
-        self.spare_frames.append(&mut frames);
     }
 
-    /// Re-evaluates the rf/co-dependent frontier and applies each staged
-    /// constraint's value delta under a fresh undo frame.
-    fn advance(&mut self) -> Result<PartialVerdict> {
-        let plan = self.plan;
-        for &si in &plan.frontier_steps {
-            let Step::BindDyn {
-                recursive,
-                bindings,
-                ..
-            } = &plan.steps[si]
-            else {
-                unreachable!("frontier steps are dynamic bindings");
-            };
-            self.bind_group(*recursive, bindings, false)?;
+    fn begin(&mut self) {
+        self.marks.push(self.log.len());
+        for d in &mut self.deltas {
+            d.clear();
         }
-        // Recycle a popped frame's buffers (cleared on pop/absorb): the
-        // steady-state DFS push allocates no delta vectors.
-        let mut frame = self.spare_frames.pop().unwrap_or_default();
-        frame.resize_with(self.cons.len(), ConsFrame::default);
-        for (i, c) in plan.constraints.iter().enumerate() {
-            let new = {
-                let env = Env::view(&self.base, &self.slots);
-                eval_expr(&c.expr, &env)?
-            };
-            let cf = &mut frame[i];
-            match (&mut self.cons[i], new) {
-                (ConState::Acyclic { value, order }, CatValue::Rel(new)) => {
-                    new.edge_diff_into(value, &mut cf.delta);
-                    order.begin();
-                    for &(a, b) in &cf.delta {
-                        order.add_edge(a, b);
-                    }
-                    *value = new;
-                }
-                (ConState::Irreflexive { value, selfloops }, CatValue::Rel(new)) => {
-                    new.edge_diff_into(value, &mut cf.delta);
-                    cf.selfloops = cf.delta.iter().filter(|(a, b)| a == b).count() as u32;
-                    *selfloops += cf.selfloops;
-                    *value = new;
-                }
-                (ConState::Empty { value }, CatValue::Rel(new)) => {
-                    new.edge_diff_into(value, &mut cf.delta);
-                    *value = new;
-                }
-                (ConState::EmptySet { value }, CatValue::Set(new)) => {
-                    cf.elems.extend(new.iter().filter(|e| !value.contains(*e)));
-                    *value = new;
-                }
-                _ => {
-                    return Err(Error::Model(format!(
-                        "{}: expression changed type between candidates",
-                        c.name
-                    )))
-                }
-            }
-        }
-        self.frames.push(frame);
-        Ok(self.verdict())
+        self.seen.fill([0; 2]);
     }
 
-    fn undo_frame(&mut self) {
-        let mut frame = self.frames.pop().expect("pop without matching push");
-        for (con, cf) in self.cons.iter_mut().zip(frame.iter_mut()) {
-            match con {
-                ConState::Acyclic { value, order } => {
-                    order.undo();
-                    for &(a, b) in &cf.delta {
-                        value.remove(a, b);
-                    }
+    fn insert(&mut self, n: u32, item: Item) {
+        if add(&mut self.vals[n as usize], item) {
+            self.deltas[n as usize].push(item);
+            self.log.push((n, item));
+        }
+    }
+
+    fn insert_cands(&mut self, n: u32) {
+        let cand = std::mem::take(&mut self.cand);
+        for &item in &cand {
+            self.insert(n, item);
+        }
+        self.cand = cand;
+    }
+
+    /// Pushes the mirrors' deltas through the network, then feeds every
+    /// acyclicity order its constraint's delta under a fresh frame.
+    fn propagate(&mut self) -> PartialVerdict {
+        let net = &self.plan.net;
+        for g in &net.groups {
+            loop {
+                let mut grew = false;
+                for n in g.start..g.end {
+                    grew |= self.update(n);
                 }
-                ConState::Irreflexive { value, selfloops } => {
-                    *selfloops -= cf.selfloops;
-                    for &(a, b) in &cf.delta {
-                        value.remove(a, b);
-                    }
+                if g.rec.is_none() || !grew {
+                    break;
                 }
-                ConState::Empty { value } => {
-                    for &(a, b) in &cf.delta {
-                        value.remove(a, b);
-                    }
+            }
+        }
+        for (con, root) in self.cons.iter_mut().zip(&net.roots) {
+            if let (ConState::Acyclic(order), Src::Node(n)) = (con, root) {
+                order.begin();
+                for &(a, b) in &self.deltas[*n as usize] {
+                    order.add_edge(a, b);
                 }
-                ConState::EmptySet { value } => {
-                    for &e in &cf.elems {
-                        value.remove(e);
+            }
+        }
+        self.verdict()
+    }
+
+    /// Turns node `n`'s operand deltas (those it has not consumed yet)
+    /// into its own exact delta. Returns true if the node grew.
+    fn update(&mut self, n: usize) -> bool {
+        let op = self.plan.net.nodes[n];
+        let (vals, base, deltas, cand) = (&self.vals, &self.base, &self.deltas, &mut self.cand);
+        let [seen_a, seen_b] = self.seen[n];
+        let fresh = |s: Src, from: usize| -> &[Item] {
+            match s {
+                Src::Node(m) => &deltas[m as usize][from..],
+                Src::Const(_) => &[],
+            }
+        };
+        let (da, db) = match op {
+            NodeOp::Mirror => return false,
+            NodeOp::Copy(a) | NodeOp::Unary(_, a) => (fresh(a, seen_a), &[][..]),
+            NodeOp::Binary(_, a, b) => (fresh(a, seen_a), fresh(b, seen_b)),
+        };
+        if da.is_empty() && db.is_empty() {
+            return false;
+        }
+        cand.clear();
+        match op {
+            NodeOp::Mirror
+            | NodeOp::Copy(_)
+            | NodeOp::Unary(Unary::Opt | Unary::Plus | Unary::Star, _) => {
+                cand.extend_from_slice(da);
+            }
+            NodeOp::Unary(Unary::Inverse, _) => cand.extend(da.iter().map(|&(x, y)| (y, x))),
+            NodeOp::Unary(Unary::IdOn | Unary::Domain, _) => {
+                cand.extend(da.iter().map(|&(x, _)| (x, x)));
+            }
+            NodeOp::Unary(Unary::Range, _) => cand.extend(da.iter().map(|&(_, y)| (y, y))),
+            NodeOp::Binary(op, a, b) => {
+                let (va, vb) = (value_of(vals, base, a), value_of(vals, base, b));
+                match op {
+                    Binary::Union => {
+                        cand.extend_from_slice(da);
+                        cand.extend_from_slice(db);
+                    }
+                    // Δ(a∩b) = Δa∩b ∪ a∩Δb, over the operands' new values.
+                    Binary::Inter => {
+                        cand.extend(da.iter().filter(|&&i| has(vb, i)));
+                        cand.extend(db.iter().filter(|&&i| has(va, i)));
+                    }
+                    // The subtrahend is constant (see `Network::expr`).
+                    Binary::Diff => cand.extend(da.iter().filter(|&&i| !has(vb, i))),
+                    // Δ(a;b) = Δa;b ∪ a;Δb.
+                    Binary::Seq => {
+                        let (ra, rb) = (rel(va), rel(vb));
+                        for &(x, y) in da {
+                            cand.extend(rb.successors(y).map(|z| (x, z)));
+                        }
+                        for &(y, z) in db {
+                            let preds = (0..self.nodes as u32).map(EventId);
+                            cand.extend(preds.filter(|&x| ra.contains(x, y)).map(|x| (x, z)));
+                        }
+                    }
+                    // Δ(A×B) = ΔA×B ∪ A×ΔB (set elements are `(e, e)`).
+                    Binary::Cross => {
+                        let (CatValue::Set(sa), CatValue::Set(sb)) = (va, vb) else {
+                            unreachable!("operand types are checked when the session opens");
+                        };
+                        for &(x, _) in da {
+                            cand.extend(sb.iter().map(|y| (x, y)));
+                        }
+                        for &(y, _) in db {
+                            cand.extend(sa.iter().map(|x| (x, y)));
+                        }
                     }
                 }
             }
-            cf.delta.clear();
-            cf.elems.clear();
-            cf.selfloops = 0;
         }
-        self.spare_frames.push(frame);
+        self.seen[n] = [seen_a + da.len(), seen_b + db.len()];
+        let before = self.deltas[n].len();
+        let cand = std::mem::take(&mut self.cand);
+        if matches!(op, NodeOp::Unary(Unary::Plus | Unary::Star, _)) {
+            for &item in &cand {
+                self.close_insert(n, item);
+            }
+        } else {
+            for &item in &cand {
+                self.insert(n as u32, item);
+            }
+        }
+        self.cand = cand;
+        self.deltas[n].len() > before
+    }
+
+    /// Adds `x → y` to node `n`'s transitively closed value: every
+    /// predecessor of `x` (and `x`) gains every successor of `y` (and
+    /// `y`) — Italiano-style insertion, as [`IncrementalOrder`] does.
+    fn close_insert(&mut self, n: usize, (x, y): Item) {
+        let CatValue::Rel(v) = &mut self.vals[n] else {
+            unreachable!("closures are relations");
+        };
+        if v.contains(x, y) {
+            return;
+        }
+        self.targets.clear();
+        self.targets.push(y);
+        self.targets.extend(v.successors(y));
+        // Row `a` changes only when the loop reaches it, so every later
+        // `contains(a, x)` still reads the pre-insertion closure.
+        for a in (0..self.nodes as u32).map(EventId) {
+            if a != x && !v.contains(a, x) {
+                continue;
+            }
+            for &b in &self.targets {
+                if v.insert(a, b) {
+                    self.deltas[n].push((a, b));
+                    self.log.push((n as u32, (a, b)));
+                }
+            }
+        }
+    }
+
+    /// True if staged constraint `k` is violated in the current state.
+    fn violated(&self, k: usize) -> bool {
+        let value = || value_of(&self.vals, &self.base, self.plan.net.roots[k]);
+        match &self.cons[k] {
+            ConState::Acyclic(order) => !order.is_acyclic(),
+            ConState::Irreflexive => !rel(value()).is_irreflexive(),
+            ConState::Empty => match value() {
+                CatValue::Rel(r) => !r.is_empty(),
+                CatValue::Set(s) => !s.is_empty(),
+            },
+        }
     }
 
     /// The current partial verdict, O(#constraints).
     pub fn verdict(&self) -> PartialVerdict {
-        if self.const_violated || self.cons.iter().any(ConState::violated) {
+        if self.const_violated || (0..self.cons.len()).any(|k| self.violated(k)) {
             PartialVerdict::Forbidden
         } else {
             PartialVerdict::Undecided
@@ -947,7 +1147,7 @@ impl<'a> StagedState<'a> {
                 Step::CheckConst { cslot, name, .. } if !self.const_results[*cslot] => {
                     return Some(name);
                 }
-                Step::CheckStaged { idx } if self.cons[*idx].violated() => {
+                Step::CheckStaged { idx } if self.violated(*idx) => {
                     return Some(&self.plan.constraints[*idx].name);
                 }
                 _ => {}
@@ -958,37 +1158,28 @@ impl<'a> StagedState<'a> {
 
     /// The leaf verdict: statements walked in source order — staged and
     /// constant checks answered from state, residual checks and flags
-    /// evaluated — so the first-violated rule name and the flag list are
-    /// byte-identical to [`crate::eval::run_program`].
+    /// evaluated (reading the network's values for frontier names) — so
+    /// the first-violated rule name and the flag list are byte-identical
+    /// to [`crate::eval::run_program`].
     pub fn check_leaf(&self) -> Result<Verdict> {
         let mut flags = Vec::new();
-        let mut env = Env::view(&self.base, &self.slots);
+        let mut env = Env::view(&self.base, &self.plan.net.names, &self.vals);
         for step in &self.plan.steps {
             match step {
-                // A frontier slot holds the value of the latest push, which
-                // pops leave stale: a leaf with no push in force (a session
-                // reused after its pushes were popped) re-derives it.
                 Step::BindDyn {
                     recursive,
                     bindings,
-                    frontier: true,
+                    frontier: false,
                     leaf: true,
-                } if self.frames.is_empty() => eval_let_group(&mut env, *recursive, bindings)?,
-                Step::BindConst { .. } | Step::BindDyn { frontier: true, .. } => {}
-                Step::BindDyn {
-                    recursive,
-                    bindings,
-                    leaf: true,
-                    ..
                 } => eval_let_group(&mut env, *recursive, bindings)?,
-                Step::BindDyn { .. } => {}
+                Step::BindConst { .. } | Step::BindDyn { .. } => {}
                 Step::CheckConst { cslot, name, .. } => {
                     if !self.const_results[*cslot] {
                         return Ok(Verdict::Forbidden { rule: name.clone() });
                     }
                 }
                 Step::CheckStaged { idx } => {
-                    if self.cons[*idx].violated() {
+                    if self.violated(*idx) {
                         return Ok(Verdict::Forbidden {
                             rule: self.plan.constraints[*idx].name.clone(),
                         });
@@ -1037,16 +1228,12 @@ impl<'a> StagedState<'a> {
     }
 }
 
-/// Diagonal edge count of a relation.
-fn diagonal_len(r: &Relation) -> u32 {
-    r.iter().filter(|(a, b)| a == b).count() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::run_program;
     use crate::registry::CatModel;
+    use telechat_common::XorShiftRng;
     use telechat_exec::{simulate, AllowAll, SimConfig};
     use telechat_litmus::parse_c11;
 
@@ -1202,22 +1389,22 @@ exists (P0:r0=0 /\ P1:r0=0)
             // rf stage: both reads read the remote new value (allowed
             // under weak models), then undo one and read init instead.
             partial.rf.insert(wy1, ry);
-            state.push_rf(wy1, ry).unwrap();
+            state.push_rf(wy1, ry);
             check(&state, &partial);
             partial.rf.insert(wx1, rx);
-            state.push_rf(wx1, rx).unwrap();
+            state.push_rf(wx1, rx);
             check(&state, &partial);
-            state.pop_rf(wx1, rx);
+            state.pop();
             partial.rf.remove(wx1, rx);
             partial.rf.insert(wx0, rx);
-            state.push_rf(wx0, rx).unwrap();
+            state.push_rf(wx0, rx);
             check(&state, &partial);
             // co stage: x chain init→new, then y chain init→new.
             partial.co.insert(wx0, wx1);
-            state.push_co(&[wx0], wx1).unwrap();
+            state.push_co(&[wx0], wx1);
             check(&state, &partial);
             partial.co.insert(wy0, wy1);
-            state.push_co(&[wy0], wy1).unwrap();
+            state.push_co(&[wy0], wy1);
             check(&state, &partial);
             // Leaf: complete candidate — byte-identical verdict.
             assert_eq!(
@@ -1226,14 +1413,14 @@ exists (P0:r0=0 /\ P1:r0=0)
                 "{model_name}: leaf verdict diverges"
             );
             // Unwind everything; the state must return to the seed.
-            state.pop_co(&[wy0], wy1);
+            state.pop();
             partial.co.remove(wy0, wy1);
-            state.pop_co(&[wx0], wx1);
+            state.pop();
             partial.co.remove(wx0, wx1);
             check(&state, &partial);
-            state.pop_rf(wx0, rx);
+            state.pop();
             partial.rf.remove(wx0, rx);
-            state.pop_rf(wy1, ry);
+            state.pop();
             partial.rf.remove(wy1, ry);
             check(&state, &partial);
             assert_eq!(state.nodes(), n);
@@ -1284,9 +1471,8 @@ exists (P0:r0=0 /\ P1:r0=0)
     #[derive(Clone, Copy)]
     enum Op {
         PushRf(u32, u32),
-        PopRf(u32, u32),
         PushCo(u32, u32),
-        PopCo(u32, u32),
+        Pop,
         Leaf,
     }
 
@@ -1299,19 +1485,15 @@ exists (P0:r0=0 /\ P1:r0=0)
             .map(|op| {
                 let leaf = match *op {
                     Op::PushRf(w, r) => {
-                        state.push_rf(e(w), e(r)).unwrap();
-                        None
-                    }
-                    Op::PopRf(w, r) => {
-                        state.pop_rf(e(w), e(r));
+                        state.push_rf(e(w), e(r));
                         None
                     }
                     Op::PushCo(p, w) => {
-                        state.push_co(&[e(p)], e(w)).unwrap();
+                        state.push_co(&[e(p)], e(w));
                         None
                     }
-                    Op::PopCo(p, w) => {
-                        state.pop_co(&[e(p)], e(w));
+                    Op::Pop => {
+                        state.pop();
                         None
                     }
                     Op::Leaf => Some(state.check_leaf().unwrap()),
@@ -1359,17 +1541,17 @@ exists (P1:r0=1 /\ P1:r1=0)
             Op::PushCo(0, 2),
             Op::PushCo(1, 3),
             Op::Leaf,
-            Op::PopCo(1, 3),
-            Op::PopCo(0, 2),
-            Op::PopRf(2, 5),
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
             Op::PushRf(0, 5),
             Op::PushCo(0, 2),
             Op::PushCo(1, 3),
             Op::Leaf,
-            Op::PopCo(1, 3),
-            Op::PopCo(0, 2),
-            Op::PopRf(0, 5),
-            Op::PopRf(3, 4),
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
         ];
         // The next combo on the same skeleton: a leaf before any push,
         // then a different rf/co walk.
@@ -1380,25 +1562,25 @@ exists (P1:r0=1 /\ P1:r1=0)
             Op::PushCo(0, 2),
             Op::PushCo(1, 3),
             Op::Leaf,
-            Op::PopCo(1, 3),
-            Op::PopCo(0, 2),
-            Op::PopRf(0, 5),
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
             Op::PushRf(2, 5),
             Op::PushCo(0, 2),
             Op::Leaf,
-            Op::PopCo(0, 2),
-            Op::PopRf(2, 5),
-            Op::PopRf(1, 4),
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
             // The weak outcome (new flag, stale payload), then unwind.
             Op::PushRf(3, 4),
             Op::PushRf(0, 5),
             Op::PushCo(0, 2),
             Op::PushCo(1, 3),
             Op::Leaf,
-            Op::PopCo(1, 3),
-            Op::PopCo(0, 2),
-            Op::PopRf(0, 5),
-            Op::PopRf(3, 4),
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
             Op::Leaf,
         ];
         for model_name in ["aarch64", "rc11", "sc", "x86tso"] {
@@ -1432,27 +1614,6 @@ exists (P1:r0=1 /\ P1:r1=0)
     #[test]
     fn alternating_skeletons_match_reference() {
         use telechat_exec::simulate_reference;
-        const ISA2_CTRL: &str = r#"
-C11 "ISA2+ctrls"
-{ x = 0; y = 0; z = 0; }
-P0 (atomic_int* x, atomic_int* y) {
-  int r0 = atomic_load_explicit(x, memory_order_acquire);
-  if (r0 == 1) {
-    atomic_store_explicit(y, 1, memory_order_release);
-  }
-}
-P1 (atomic_int* y, int* z) {
-  int r0 = atomic_load_explicit(y, memory_order_relaxed);
-  if (r0 == 1) {
-    *z = 1;
-  }
-}
-P2 (atomic_int* x, int* z) {
-  atomic_store_explicit(x, 1, memory_order_release);
-  int r0 = *z;
-}
-exists (P0:r0=1 /\ P1:r0=1 /\ P2:r0=0)
-"#;
         let test = parse_c11(ISA2_CTRL).unwrap();
         for name in ["aarch64", "rc11"] {
             for model in [
@@ -1475,5 +1636,363 @@ exists (P0:r0=1 /\ P1:r0=1 /\ P2:r0=0)
                 }
             }
         }
+    }
+
+    const IRIW: &str = r#"
+C11 "IRIW"
+{ x = 0; y = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_release);
+}
+P1 (atomic_int* y) {
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+P2 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_acquire);
+  int r1 = atomic_load_explicit(y, memory_order_acquire);
+}
+P3 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  int r1 = atomic_load_explicit(x, memory_order_acquire);
+}
+exists (P2:r0=1 /\ P2:r1=0 /\ P3:r0=1 /\ P3:r1=0)
+"#;
+
+    const ISA2_CTRL: &str = r#"
+C11 "ISA2+ctrls"
+{ x = 0; y = 0; z = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_acquire);
+  if (r0 == 1) {
+    atomic_store_explicit(y, 1, memory_order_release);
+  }
+}
+P1 (atomic_int* y, int* z) {
+  int r0 = atomic_load_explicit(y, memory_order_relaxed);
+  if (r0 == 1) {
+    *z = 1;
+  }
+}
+P2 (atomic_int* x, int* z) {
+  atomic_store_explicit(x, 1, memory_order_release);
+  int r0 = *z;
+}
+exists (P0:r0=1 /\ P1:r0=1 /\ P2:r0=0)
+"#;
+
+    /// Two RMWs race on `x`, a plain reader watches.
+    const RMW: &str = r#"
+C11 "2RMW+R"
+{ x = 0; y = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_fetch_add_explicit(x, 1, memory_order_acq_rel);
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+P1 (atomic_int* x) {
+  int r0 = atomic_exchange_explicit(x, 2, memory_order_relaxed);
+}
+P2 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  int r1 = atomic_load_explicit(x, memory_order_seq_cst);
+}
+exists (P2:r0=1 /\ P2:r1=0)
+"#;
+
+    /// Five threads on one location: three writers, three reads.
+    const ONE_LOC5: &str = r#"
+C11 "CoRR5"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 2, memory_order_seq_cst);
+}
+P2 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P3 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_seq_cst);
+}
+P4 (atomic_int* x) {
+  atomic_store_explicit(x, 3, memory_order_release);
+}
+exists (P2:r0=2 /\ P2:r1=1)
+"#;
+
+    /// A test-only model whose staged constraints read `let rec` groups
+    /// (a closure written as a fixpoint, and a mutually recursive pair),
+    /// plus a residual flag over one of them.
+    const REC_MODEL: &str = r#"
+let rec hb = po | (rf & ext) | (hb ; hb)
+let com = rf | co | fr
+let rec eco = com | (eco ; eco) and ecow = eco ; [W]
+irreflexive hb ; eco as coherence
+acyclic po | rf as no_thin_air
+empty ecow & id as no_self_write
+flag ~empty (fr & hb) as fr_hb
+"#;
+
+    fn rec_model() -> CatModel {
+        CatModel::from_program(crate::parse::parse_cat("rec", REC_MODEL, &|_| None).unwrap())
+    }
+
+    /// Skeletons (rf/co cleared) of the first and the last combo of a
+    /// test; they differ in events when a branch does.
+    fn skeletons(src: &str) -> Vec<Execution> {
+        let test = parse_c11(src).unwrap();
+        let r = simulate(&test, &AllowAll, &SimConfig::default().keeping_executions()).unwrap();
+        [r.executions.first(), r.executions.last()]
+            .into_iter()
+            .flatten()
+            .map(|x| {
+                let mut x = x.clone();
+                x.rf = Relation::new();
+                x.co = Relation::new();
+                x
+            })
+            .collect()
+    }
+
+    /// Asserts that every network value a name or a staged constraint
+    /// reads equals a from-scratch evaluation on `partial`, and that the
+    /// partial verdict and blame equal the from-scratch answers.
+    fn assert_exact(state: &StagedState<'_>, program: &CatProgram, partial: &Execution, tag: &str) {
+        let plan = state.plan;
+        let mut scratch = Env::from_execution(partial);
+        let mut dynamic = vec![base_syms().rf, base_syms().co, base_syms().fr];
+        for stmt in &program.stmts {
+            if let CatStmt::Let {
+                recursive,
+                bindings,
+            } = stmt
+            {
+                eval_let_group(&mut scratch, *recursive, bindings).unwrap();
+                dynamic.extend(bindings.iter().map(|(s, _)| *s));
+            }
+        }
+        // Mirrors and frontier `let`s.
+        for &sym in &dynamic {
+            if let Some(&n) = plan.net.names.get(sym.index()).filter(|&&n| n != NO_NODE) {
+                assert_eq!(
+                    &state.vals[n as usize],
+                    scratch.lookup_sym(sym).unwrap(),
+                    "{tag}: `{sym}` diverges"
+                );
+            }
+        }
+        // Constraint values: their expressions read hoisted constants from
+        // the session base and everything else from scratch.
+        let mut env = Env::view(&state.base, &[], &[]);
+        for &sym in &dynamic {
+            env.bind(sym, scratch.lookup_sym(sym).unwrap().clone());
+        }
+        let mut violated = Vec::new();
+        for (k, c) in plan.constraints.iter().enumerate() {
+            let expected = eval_expr(&c.expr, &env).unwrap();
+            assert_eq!(
+                value_of(&state.vals, &state.base, plan.net.roots[k]),
+                &expected,
+                "{tag}: constraint `{}` diverges",
+                c.name
+            );
+            violated.push(match (c.mode, &expected) {
+                (Mode::Acyclic, CatValue::Rel(r)) => !r.is_acyclic(),
+                (Mode::Irreflexive, CatValue::Rel(r)) => !r.is_irreflexive(),
+                (_, CatValue::Rel(r)) => !r.is_empty(),
+                (_, CatValue::Set(s)) => !s.is_empty(),
+            });
+        }
+        let blame = plan.steps.iter().find_map(|step| match step {
+            Step::CheckConst { cslot, name, .. } if !state.const_results[*cslot] => {
+                Some(name.as_str())
+            }
+            Step::CheckStaged { idx } if violated[*idx] => Some(&plan.constraints[*idx].name),
+            _ => None,
+        });
+        assert_eq!(state.blame(), blame, "{tag}: blame");
+        assert_eq!(
+            state.verdict() == PartialVerdict::Forbidden,
+            blame.is_some(),
+            "{tag}: verdict"
+        );
+    }
+
+    /// A random walk over one skeleton's rf/co decisions, driving `state`
+    /// and a materialised partial candidate side by side: pushes pick an
+    /// unjustified read (reads-from a same-location write) or extend a
+    /// location's coherence chain, in any interleaving; pops undo the
+    /// latest push; with `absorb`, the walk folds its prefix into the
+    /// baseline once. Every step is checked with [`assert_exact`], every
+    /// complete candidate against [`run_program`]. Ends fully popped
+    /// (down to the absorbed prefix).
+    fn random_walk(
+        state: &mut StagedState<'_>,
+        model: &CatModel,
+        skeleton: &Execution,
+        rng: &mut XorShiftRng,
+        absorb: bool,
+        tag: &str,
+    ) {
+        #[derive(Clone, Copy)]
+        enum Pushed {
+            Rf(EventId, EventId),
+            Co(usize, EventId),
+        }
+        let ev = &skeleton.events;
+        let reads: Vec<EventId> = skeleton.reads().iter().collect();
+        let writes = skeleton.writes();
+        let mut chains: Vec<Vec<EventId>> =
+            skeleton.init_writes().iter().map(|w| vec![w]).collect();
+        let mut partial = skeleton.clone();
+        let mut stack: Vec<Pushed> = Vec::new();
+        let mut floor = 0;
+        let mut absorb_at = if absorb {
+            1 + rng.below(6) as usize
+        } else {
+            usize::MAX
+        };
+        for step in 0..60 {
+            let unread: Vec<EventId> = reads
+                .iter()
+                .copied()
+                .filter(|&r| {
+                    !stack
+                        .iter()
+                        .any(|p| matches!(p, Pushed::Rf(_, x) if *x == r))
+                })
+                .collect();
+            let unplaced: Vec<(usize, EventId)> = writes
+                .iter()
+                .filter(|&w| !chains.iter().any(|c| c.contains(&w)))
+                .map(|w| {
+                    let loc = ev[w.index()].loc.clone();
+                    let c = chains.iter().position(|c| ev[c[0].index()].loc == loc);
+                    (c.expect("every location has an init write"), w)
+                })
+                .collect();
+            let choices = unread.len() + unplaced.len();
+            if choices > 0 && (stack.len() == floor || rng.below(3) > 0) {
+                let pick = rng.below(choices as u64) as usize;
+                let pushed = if pick < unread.len() {
+                    let r = unread[pick];
+                    let sources: Vec<EventId> = writes
+                        .iter()
+                        .filter(|w| ev[w.index()].loc == ev[r.index()].loc)
+                        .collect();
+                    let w = sources[rng.below(sources.len() as u64) as usize];
+                    partial.rf.insert(w, r);
+                    state.push_rf(w, r);
+                    Pushed::Rf(w, r)
+                } else {
+                    let (c, w) = unplaced[pick - unread.len()];
+                    for &p in &chains[c] {
+                        partial.co.insert(p, w);
+                    }
+                    state.push_co(&chains[c], w);
+                    chains[c].push(w);
+                    Pushed::Co(c, w)
+                };
+                stack.push(pushed);
+            } else if stack.len() > floor {
+                state.pop();
+                match stack.pop().unwrap() {
+                    Pushed::Rf(w, r) => {
+                        partial.rf.remove(w, r);
+                    }
+                    Pushed::Co(c, w) => {
+                        chains[c].pop();
+                        for &p in &chains[c] {
+                            partial.co.remove(p, w);
+                        }
+                    }
+                }
+            }
+            if stack.len() == absorb_at {
+                state.absorb();
+                floor = stack.len();
+                absorb_at = usize::MAX;
+            }
+            let tag = format!("{tag} step {step}");
+            assert_exact(state, model.program(), &partial, &tag);
+            if choices == 0 {
+                assert_eq!(
+                    state.check_leaf().unwrap(),
+                    run_program(model.program(), &partial).unwrap(),
+                    "{tag}: leaf verdict"
+                );
+            }
+        }
+        while stack.len() > floor {
+            state.pop();
+            if let Pushed::Co(c, _) = stack.pop().unwrap() {
+                chains[c].pop();
+            }
+        }
+    }
+
+    /// Delta propagation ≡ from-scratch evaluation on random push/pop/
+    /// absorb schedules, for every bundled model and the `let rec` test
+    /// model, over six shapes. One session per skeleton is reused across
+    /// several walks (as the enumerator reuses it across combos); another
+    /// absorbs a prefix (as a stolen DFS task does).
+    #[test]
+    fn random_schedules_match_from_scratch_eval() {
+        let mut models: Vec<CatModel> = crate::registry::model_names()
+            .into_iter()
+            .map(|n| CatModel::bundled(n).unwrap())
+            .collect();
+        models.push(rec_model());
+        let mut rng = XorShiftRng::seed_from_u64(16);
+        for (shape, src) in [
+            ("SB", SB),
+            ("MP", MP_NA),
+            ("IRIW", IRIW),
+            ("ISA2+ctrl", ISA2_CTRL),
+            ("RMW", RMW),
+            ("one-loc-5", ONE_LOC5),
+        ] {
+            for (si, skeleton) in skeletons(src).iter().enumerate() {
+                for model in &models {
+                    assert!(model.plan().prunes(), "{}", model.model_name());
+                    let tag = format!("{} on {shape}#{si}", model.model_name());
+                    let mut reused = StagedState::new(model.plan(), skeleton).unwrap();
+                    for walk in 0..3 {
+                        let tag = format!("{tag} walk {walk}");
+                        random_walk(&mut reused, model, skeleton, &mut rng, false, &tag);
+                    }
+                    let mut stolen = StagedState::new(model.plan(), skeleton).unwrap();
+                    random_walk(&mut stolen, model, skeleton, &mut rng, true, &tag);
+                }
+            }
+        }
+    }
+
+    /// The `let rec` test model stages, and whole simulations under it
+    /// agree with leaf-only evaluation and with the reference oracle.
+    #[test]
+    fn let_rec_model_matches_leaf_only() {
+        use telechat_exec::simulate_reference;
+        let model = rec_model();
+        assert_eq!(model.plan().staged_constraints(), 3);
+        let leaf_only = rec_model().without_staging();
+        let mut pruned = 0;
+        for src in [SB, MP_NA, IRIW, ISA2_CTRL, RMW, ONE_LOC5] {
+            let test = parse_c11(src).unwrap();
+            let cfg = SimConfig::default();
+            let staged = simulate(&test, &model, &cfg).unwrap();
+            for other in [
+                simulate(&test, &leaf_only, &cfg).unwrap(),
+                simulate_reference(&test, &model, &cfg).unwrap(),
+            ] {
+                assert_eq!(staged.outcomes, other.outcomes, "{}", test.name);
+                assert_eq!(staged.candidates, other.candidates, "{}", test.name);
+                assert_eq!(staged.allowed, other.allowed, "{}", test.name);
+                assert_eq!(staged.flags, other.flags, "{}", test.name);
+            }
+            pruned += staged.pruned_candidates;
+        }
+        assert!(pruned > 0, "the staged `let rec` constraints never pruned");
     }
 }

@@ -8,6 +8,7 @@
 //! (ROADMAP "Next levers": interning `Loc`/`Reg` out of the hot path).
 //! Display/`as_str` round-trip the original spelling for litmus printing.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -43,15 +44,46 @@ impl Interner {
     }
 }
 
-static LOC_INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-static REG_INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-static SYM_INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
+/// The interner kinds, as indices into [`INTERNERS`] and the memos.
+const LOC: usize = 0;
+const REG: usize = 1;
+const SYM: usize = 2;
 
-fn intern_in(cell: &OnceLock<Mutex<Interner>>, name: &str) -> (u32, &'static str) {
-    cell.get_or_init(|| Mutex::new(Interner::new()))
+/// The process-wide interners, one per kind.
+static INTERNERS: [OnceLock<Mutex<Interner>>; 3] =
+    [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+
+/// A per-thread memo of one interner: names this thread has already
+/// interned, with the ids the process-wide table gave them.
+type Memo = HashMap<&'static str, (u32, &'static str)>;
+
+thread_local! {
+    /// One memo per interner kind, in front of the process-wide mutexes:
+    /// once a thread has seen a name, interning it again takes no lock, so
+    /// campaign workers do not contend on it. Ids are assigned only under
+    /// the mutex, so every thread sees the same id.
+    static MEMOS: RefCell<[Memo; 3]> = RefCell::default();
+}
+
+fn interner(kind: usize) -> std::sync::MutexGuard<'static, Interner> {
+    INTERNERS[kind]
+        .get_or_init(|| Mutex::new(Interner::new()))
         .lock()
         .expect("interner poisoned")
-        .intern(name)
+}
+
+fn intern_in(kind: usize, name: &str) -> (u32, &'static str) {
+    let hit = MEMOS
+        .try_with(|m| m.borrow()[kind].get(name).copied())
+        .ok()
+        .flatten();
+    if let Some(hit) = hit {
+        return hit;
+    }
+    let interned = interner(kind).intern(name);
+    // A thread being torn down has no memo left; it simply skips caching.
+    let _ = MEMOS.try_with(|m| m.borrow_mut()[kind].insert(interned.1, interned));
+    interned
 }
 
 /// A general interned symbol: a dense id plus the leaked `'static` name.
@@ -78,7 +110,7 @@ pub struct Sym {
 impl Sym {
     /// Interns `name` (a string hash on first sight, an id lookup after).
     pub fn new(name: impl AsRef<str>) -> Sym {
-        let (id, name) = intern_in(&SYM_INTERNER, name.as_ref());
+        let (id, name) = intern_in(SYM, name.as_ref());
         Sym { id, name }
     }
 
@@ -101,12 +133,7 @@ impl Sym {
 /// One past the highest [`Sym`] id interned so far — the slot-vector width
 /// that can hold every symbol currently in existence.
 pub fn sym_count() -> usize {
-    SYM_INTERNER
-        .get_or_init(|| Mutex::new(Interner::new()))
-        .lock()
-        .expect("interner poisoned")
-        .names
-        .len()
+    interner(SYM).names.len()
 }
 
 impl PartialEq for Sym {
@@ -223,7 +250,7 @@ impl Reg {
     /// Creates a register from its textual name, interning it (a hash of the
     /// string on first sight of the name, an id lookup afterwards).
     pub fn new(name: impl AsRef<str>) -> Self {
-        let (id, name) = intern_in(&REG_INTERNER, name.as_ref());
+        let (id, name) = intern_in(REG, name.as_ref());
         Reg { id, name }
     }
 
@@ -317,7 +344,7 @@ pub struct Loc {
 impl Loc {
     /// Creates a location from its symbolic name, interning it.
     pub fn new(name: impl AsRef<str>) -> Self {
-        let (id, name) = intern_in(&LOC_INTERNER, name.as_ref());
+        let (id, name) = intern_in(LOC, name.as_ref());
         Loc { id, name }
     }
 
@@ -485,5 +512,58 @@ mod tests {
         let late_b = Sym::new("zz_sym_order_b");
         let late_a = Sym::new("zz_sym_order_a");
         assert!(late_a < late_b);
+    }
+
+    /// Threads intern overlapping name sets at the same time, each through
+    /// its own memo: every thread must get the same id for the same name,
+    /// distinct names distinct ids, and the spelling back.
+    #[test]
+    fn concurrent_interning_agrees_across_threads() {
+        let names = |t: usize| -> Vec<String> {
+            (0..48)
+                .map(|i| format!("zz_conc_{}", (i * 7 + t * 5) % 64))
+                .collect()
+        };
+        let start = std::sync::Barrier::new(8);
+        let results: Vec<Vec<(String, u32, u32, u32)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        // Twice per name: the second lookup hits the memo.
+                        (0..2)
+                            .flat_map(|_| names(t))
+                            .map(|n| {
+                                let (l, r, y) = (Loc::new(&n), Reg::new(&n), Sym::new(&n));
+                                assert_eq!(l.as_str(), n);
+                                assert_eq!(r.name(), n);
+                                assert_eq!(y.as_str(), n);
+                                (n, l.id(), r.id(), y.id())
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut ids: HashMap<String, (u32, u32, u32)> = HashMap::new();
+        for (n, l, r, y) in results.into_iter().flatten() {
+            let seen = *ids.entry(n.clone()).or_insert((l, r, y));
+            assert_eq!(seen, (l, r, y), "{n}: ids differ between threads");
+        }
+        // And the main thread (a fresh memo) agrees with the workers.
+        for (n, &(l, r, y)) in &ids {
+            assert_eq!(
+                (Loc::new(n).id(), Reg::new(n).id(), Sym::new(n).id()),
+                (l, r, y)
+            );
+        }
+        for kind in 0..3 {
+            let mut distinct: Vec<u32> = ids.values().map(|&(l, r, y)| [l, r, y][kind]).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), ids.len(), "distinct names share an id");
+        }
     }
 }

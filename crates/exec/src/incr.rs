@@ -57,6 +57,9 @@ pub struct IncrementalOrder {
     frames: Vec<Frame>,
     /// Outstanding cycle edges (base seed cycles plus un-undone pushes).
     cycles: u32,
+    /// Scratch row for [`IncrementalOrder::add_edge`], reused so an edge
+    /// insertion allocates nothing.
+    targets: Vec<u64>,
 }
 
 impl IncrementalOrder {
@@ -72,6 +75,7 @@ impl IncrementalOrder {
             journal_rows: Vec::new(),
             frames: Vec::new(),
             cycles: 0,
+            targets: Vec::new(),
         };
         order.reset(nodes, seeds);
         order
@@ -159,7 +163,9 @@ impl IncrementalOrder {
         }
         // targets = reach(v) ∪ {v}: everything newly reachable through u→v.
         let stride = self.stride;
-        let mut targets = self.reach[vi * stride..(vi + 1) * stride].to_vec();
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        targets.extend_from_slice(&self.reach[vi * stride..(vi + 1) * stride]);
         targets[vi / WORD] |= 1u64 << (vi % WORD);
         // Sources: u itself plus every a that already reaches u.
         let (uw, ub) = (ui / WORD, 1u64 << (ui % WORD));
@@ -175,6 +181,7 @@ impl IncrementalOrder {
             self.journal_rows.extend_from_slice(row);
             kernels::or_assign(&mut self.reach[a * stride..(a + 1) * stride], &targets);
         }
+        self.targets = targets;
         true
     }
 

@@ -252,10 +252,19 @@ impl EventSet {
         self.words.len() * WORD
     }
 
+    /// One past the highest member (0 for the empty set): the node bound
+    /// of relations built from this set, so their row loops stop at the
+    /// last event instead of the end of the last word.
+    fn bound(&self) -> usize {
+        self.words.iter().rposition(|&w| w != 0).map_or(0, |i| {
+            (i + 1) * WORD - self.words[i].leading_zeros() as usize
+        })
+    }
+
     /// The identity relation on this set (`[S]` in Cat).
     #[must_use]
     pub fn identity(&self) -> Relation {
-        let mut r = Relation::with_nodes(self.bit_capacity());
+        let mut r = Relation::with_nodes(self.bound());
         for e in self.iter() {
             r.insert(e, e);
         }
@@ -265,7 +274,7 @@ impl EventSet {
     /// Cartesian product `self × other` (`S * T` in Cat).
     #[must_use]
     pub fn cross(&self, other: &EventSet) -> Relation {
-        let n = self.bit_capacity().max(other.bit_capacity());
+        let n = self.bound().max(other.bound());
         let mut r = Relation::with_nodes(n);
         for a in self.iter() {
             r.insert_row(a, other);
@@ -707,38 +716,6 @@ impl Relation {
         out
     }
 
-    /// The edges of `self` absent from `other`, in lexicographic order —
-    /// a word-parallel row difference. The staged Cat engine diffs each
-    /// monotone constraint value against its previous value per pushed
-    /// edge; monotonicity guarantees the result is exactly the delta.
-    pub fn edge_diff(&self, other: &Relation) -> Vec<(EventId, EventId)> {
-        let mut out = Vec::new();
-        self.edge_diff_into(other, &mut out);
-        out
-    }
-
-    /// [`Relation::edge_diff`] into a caller-owned buffer (cleared first) —
-    /// the staged Cat engine calls this once per DFS push and recycles the
-    /// buffer, so the steady-state push path allocates nothing.
-    pub fn edge_diff_into(&self, other: &Relation, out: &mut Vec<(EventId, EventId)>) {
-        out.clear();
-        for a in 0..self.nodes {
-            let ra = self.row(a);
-            if kernels::is_zero(ra) {
-                continue;
-            }
-            let rb = other.row(a);
-            for (i, &w) in ra.iter().enumerate() {
-                let mut m = w & !rb.get(i).copied().unwrap_or(0);
-                while m != 0 {
-                    let b = i * WORD + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    out.push((EventId(a as u32), EventId(b as u32)));
-                }
-            }
-        }
-    }
-
     /// True if the relation has no edge `(e, e)` (`irreflexive r` in Cat).
     pub fn is_irreflexive(&self) -> bool {
         (0..self.nodes).all(|a| self.bits[a * self.stride + a / WORD] & (1u64 << (a % WORD)) == 0)
@@ -955,6 +932,21 @@ mod tests {
             s.cross(&set(&[7])),
             rel(&[(1, 7), (2, 7)])
         );
+    }
+
+    /// `[S]` and `cross` bound their row loops by the highest member, not
+    /// by the 64 bits of the set's last word.
+    #[test]
+    fn identity_and_cross_size_by_contents() {
+        assert_eq!(set(&[1, 2]).identity().nodes, 3);
+        assert_eq!(set(&[0, 12]).cross(&set(&[3])).nodes, 13);
+        assert_eq!(set(&[2]).cross(&set(&[5, 70])).nodes, 71);
+        assert_eq!(EventSet::new().identity().nodes, 0);
+        // A set whose high members were removed shrinks the bound too.
+        let mut s = set(&[3, 100]);
+        s.remove(EventId(100));
+        assert_eq!(s.identity().nodes, 4);
+        assert_eq!(s.identity(), rel(&[(3, 3)]));
     }
 
     #[test]
@@ -1382,16 +1374,6 @@ mod bitset_oracle {
                 r.union(&s).is_acyclic(),
                 "{br} ∪ {bs}"
             );
-        });
-    }
-
-    #[test]
-    fn edge_diff_matches_oracle() {
-        for_each_pair(21, |r, s| {
-            let (br, bs) = (r.to_bitset(), s.to_bitset());
-            let got: Vec<(u32, u32)> = br.edge_diff(&bs).iter().map(|&(a, b)| (a.0, b.0)).collect();
-            let expect: Vec<(u32, u32)> = r.diff(&s).0.into_iter().collect();
-            assert_eq!(got, expect);
         });
     }
 
